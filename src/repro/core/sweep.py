@@ -41,7 +41,7 @@ def mechanism_sweep(
     """Cycle-model run per repair mechanism; keyed summary dicts."""
     base = base or baseline_config()
     mechanisms = list(mechanisms)
-    jobs = [ExperimentJob(workload, base.with_repair(mechanism), "cycle")
+    jobs = [ExperimentJob(workload, base.with_repair(mechanism), "cycle-fast")
             for mechanism in mechanisms]
     with span("sweep/mechanisms", points=len(jobs)):
         results = _executor(executor).run(jobs)
@@ -63,7 +63,7 @@ def stack_depth_jobs(
     jobs to a different executor without re-deriving configs.
     """
     repaired = (base or baseline_config()).with_repair(mechanism)
-    engine = "fast" if use_fast_model else "cycle"
+    engine = "fast" if use_fast_model else "cycle-fast"
     return [ExperimentJob(workload, repaired.with_ras_entries(size), engine)
             for size in sizes]
 
@@ -142,7 +142,7 @@ def multipath_sweep(
     grid = [(paths, organization)
             for paths in path_counts for organization in organizations]
     jobs = [ExperimentJob(workload, multipath_machine(paths, organization),
-                          "multipath")
+                          "multipath-fast")
             for paths, organization in grid]
     with span("sweep/multipath", points=len(jobs)):
         results = _executor(executor).run(jobs)

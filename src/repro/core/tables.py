@@ -12,6 +12,10 @@ through a :class:`~repro.core.executor.SweepExecutor` in a single
 the on-disk result cache skips any cell whose inputs are unchanged.
 Rows are assembled from the executor's order-preserving results, which
 makes parallel and serial output bit-identical.
+
+Cycle-level cells run on the columnar twins (``cycle-fast``,
+``multipath-fast``), whose counters are bit-identical to the reference
+CPUs; the references serve as parity oracles (docs/engines.md §2).
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ def table3_baseline(
 ) -> TableData:
     """T3: baseline control-flow prediction on the cycle model."""
     specs = _specs(names, seed, scale)
-    jobs = [ExperimentJob(spec, baseline_config(), "cycle") for spec in specs]
+    jobs = [ExperimentJob(spec, baseline_config(), "cycle-fast")
+            for spec in specs]
     results = _executor(executor).run(jobs)
     rows = []
     for spec, result in zip(specs, results):
@@ -103,8 +108,8 @@ def table4_btb_only(
     jobs: List[ExperimentJob] = []
     for spec in specs:
         jobs.append(ExperimentJob(spec, baseline_config().without_ras(),
-                                  "cycle"))
-        jobs.append(ExperimentJob(spec, baseline_config(), "cycle"))
+                                  "cycle-fast"))
+        jobs.append(ExperimentJob(spec, baseline_config(), "cycle-fast"))
     results = _executor(executor).run(jobs)
     rows = []
     for spec, (btb_only, with_ras) in zip(specs, _chunks(results, 2)):
@@ -134,7 +139,8 @@ def fig_hit_rates(
     mechanisms = list(mechanisms)
     specs = _specs(names, seed, scale)
     jobs = [
-        ExperimentJob(spec, baseline_config().with_repair(mechanism), "cycle")
+        ExperimentJob(spec, baseline_config().with_repair(mechanism),
+                      "cycle-fast")
         for spec in specs for mechanism in mechanisms
     ]
     results = _executor(executor).run(jobs)
@@ -165,15 +171,15 @@ def fig_speedup(
     jobs: List[ExperimentJob] = []
     for spec in specs:
         jobs.append(ExperimentJob(spec, baseline_config().without_ras(),
-                                  "cycle"))
+                                  "cycle-fast"))
         jobs.append(ExperimentJob(
             spec, baseline_config().with_repair(RepairMechanism.NONE),
-            "cycle"))
+            "cycle-fast"))
         jobs.append(ExperimentJob(
             spec,
             baseline_config().with_repair(
                 RepairMechanism.TOS_POINTER_AND_CONTENTS),
-            "cycle"))
+            "cycle-fast"))
     results = _executor(executor).run(jobs)
     rows = []
     for spec, (btb_only, none, repaired) in zip(specs, _chunks(results, 3)):
@@ -243,7 +249,7 @@ def fig_multipath(
     grid = [(spec, paths) for spec in specs for paths in path_counts]
     jobs = [
         ExperimentJob(spec, multipath_machine(paths, organization),
-                      "multipath")
+                      "multipath-fast")
         for spec, paths in grid for organization in organizations
     ]
     results = _executor(executor).run(jobs)
@@ -281,7 +287,8 @@ def ablation_mechanisms(
     mechanisms = list(RepairMechanism)
     specs = _specs(names, seed, scale)
     jobs = [
-        ExperimentJob(spec, baseline_config().with_repair(mechanism), "cycle")
+        ExperimentJob(spec, baseline_config().with_repair(mechanism),
+                      "cycle-fast")
         for spec in specs for mechanism in mechanisms
     ]
     results = _executor(executor).run(jobs)
@@ -312,7 +319,7 @@ def ablation_shadow_slots(
         )
         for slots in slot_counts
     ]
-    jobs = [ExperimentJob(spec, config, "cycle")
+    jobs = [ExperimentJob(spec, config, "cycle-fast")
             for spec in specs for config in configs]
     results = _executor(executor).run(jobs)
     rows = []
@@ -349,7 +356,7 @@ def ablation_btb_capacity(
         )
         for sets in set_counts
     ] + [baseline_config()]
-    jobs = [ExperimentJob(spec, config, "cycle")
+    jobs = [ExperimentJob(spec, config, "cycle-fast")
             for spec in specs for config in configs]
     results = _executor(executor).run(jobs)
     rows = []
@@ -382,7 +389,7 @@ def ablation_contents_depth(
                for depth in depths]
     configs.append(
         baseline_config().with_repair(RepairMechanism.FULL_STACK))
-    jobs = [ExperimentJob(spec, config, "cycle")
+    jobs = [ExperimentJob(spec, config, "cycle-fast")
             for spec in specs for config in configs]
     results = _executor(executor).run(jobs)
     rows = []
@@ -422,7 +429,7 @@ def ablation_direction_predictors(
                 predictor=dataclasses.replace(
                     repaired.predictor, direction_kind=kind),
             )
-            jobs.append(ExperimentJob(spec, config, "cycle"))
+            jobs.append(ExperimentJob(spec, config, "cycle-fast"))
     results = _executor(executor).run(jobs)
     rows = []
     for (spec, kind), (none, reference) in zip(grid, _chunks(results, 2)):
@@ -454,7 +461,7 @@ def ablation_fastsim_crosscheck(
     jobs: List[ExperimentJob] = []
     for spec, mechanism in grid:
         config = baseline_config().with_repair(mechanism)
-        jobs.append(ExperimentJob(spec, config, "cycle"))
+        jobs.append(ExperimentJob(spec, config, "cycle-fast"))
         jobs.append(ExperimentJob(spec, config, "fast"))
     results = _executor(executor).run(jobs)
     rows = []

@@ -16,7 +16,7 @@ the *same machine* in a shape the interpreter executes quickly:
   parallel object columns. ``REPRO_CYCLE_BACKEND=python`` forces the
   stdlib backend (both are bit-identical; the parity suite runs both).
 * **Hoisted dispatch.** All static per-instruction facts and the
-  instruction semantics themselves come from the precomputed function
+  instruction semantics themselves come from the columns and function
   tables of :mod:`repro.fastsim.decode`; RAS repair and shadow-slot
   release are bound to mechanism-specific callables once at
   construction, so the per-cycle loop contains no class dispatch.
@@ -594,7 +594,8 @@ class ColumnarCycleCPU:
                 ifq_count -= 1
                 seq += 1
                 undo = []
-                next_pc, taken, mem_addr = exec_fns[ii](regs, mem, undo)
+                next_pc, taken, mem_addr = exec_fns[ii](text[ii], pc, regs,
+                                                        mem, undo)
                 slot = (ruu_head + ruu_count) % ruu_cap
                 ruu_count += 1
                 r_seq[slot] = seq

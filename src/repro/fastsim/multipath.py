@@ -6,7 +6,7 @@ as the columnar single-path engine (:mod:`repro.fastsim.cycle`):
 
 * **Hoisted decode.** All static per-instruction facts and the
   execution semantics come from the per-program
-  :class:`~repro.fastsim.decode.DecodeTable` — the multipath closure
+  :class:`~repro.fastsim.decode.DecodeTable` — the multipath handler
   family (``exec_fns_mp``) captures stores instead of writing memory
   and reads loads through the store-forwarding path, exactly like the
   reference ``_PathState`` adapter, with no per-dispatch decode work.
@@ -173,7 +173,7 @@ class FastMultipathCPU:
         self._min_complete = 0
         #: address -> in-flight stores to it, oldest first (seq order).
         self._store_map: Dict[int, List[_Entry]] = {}
-        #: Path bound for the duration of one exec-closure call.
+        #: Path bound for the duration of one exec-handler call.
         self._load_path: Optional[PathContext] = None
 
         # Raw counters; promoted into a StatGroup at _finalize.
@@ -671,7 +671,8 @@ class FastMultipathCPU:
                             undo = []
                             self._load_path = path
                             next_pc, taken, mem_addr, store_value = (
-                                exec_fns[ii](path.regs, load_fn, undo))
+                                exec_fns[ii](text[ii], fetched.pc, path.regs,
+                                             load_fn, undo))
                             entry = _Entry(seq, fetched.pc, ii,
                                            fetched.prediction, cycle, path)
                             entry.next_pc = next_pc

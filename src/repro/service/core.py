@@ -352,7 +352,7 @@ class SimulationService:
                 None if accuracy is None else round(100 * accuracy, 2),
             ])
         title = f"Run ledger {ledger.path} ({len(entries)} shown)"
-        headers = ["run id", "utc", "engines", "sweeps", "jobs",
+        headers = ["run id", "utc", "engines", "jobs", "workers",
                    "cache hit %", "wall s", "return acc %"]
         return (title, headers, rows), entries
 

@@ -5,6 +5,9 @@ array backends) lives here; the harness that performs the comparison
 is itself tested in ``tests/test_parity_harness.py``.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -19,9 +22,13 @@ from repro.core.experiment import (
     run_multipath,
 )
 from repro.fastsim import cycle as cycle_module
+from repro.fastsim import decode as decode_module
 from repro.fastsim.cycle import cycle_backend, run_cycle_fast
+from repro.fastsim.decode import DecodeTable
 from repro.fastsim.multipath import run_multipath_fast
 from repro.fastsim.parity import flatten_group
+from repro.isa.opcodes import Opcode
+from repro.pipeline.inflight import dest_reg, exec_latency, source_regs
 from repro.workloads.generator import build_workload
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.02)
@@ -101,6 +108,83 @@ class TestBackends:
                                       backend="numpy")
         assert flatten_group(via_python.group) == \
             flatten_group(via_numpy.group)
+
+
+#: Each fast engine with a machine it runs, for the decode-memo tests.
+ENGINE_RUNS = {
+    "cycle-fast": (run_cycle_fast, baseline_config()),
+    "multipath-fast": (run_multipath_fast,
+                       multipath_machine(2, StackOrganization.PER_PATH)),
+}
+
+
+class TestDecodeMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(decode_module, "_LAST", None)
+        monkeypatch.setattr(decode_module, "_PACKED",
+                            weakref.WeakKeyDictionary())
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_RUNS))
+    def test_memo_holds_only_the_last_program(self, engine):
+        run, config = ENGINE_RUNS[engine]
+        first, second = _program("li"), _program("go")
+        run(first, config)
+        run(second, config)
+        gc.collect()
+        live = [table for table in gc.get_objects()
+                if isinstance(table, DecodeTable)
+                and (table.program is first or table.program is second)]
+        assert len(live) == 1 and live[0].program is second
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_RUNS))
+    def test_back_to_back_configs_share_one_table(self, engine):
+        run, config = ENGINE_RUNS[engine]
+        program = _program()
+        _, first = run(program, config)
+        _, second = run(program, config.without_ras())
+        assert second.decode is first.decode
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_RUNS))
+    def test_revisit_expands_the_packed_form(self, engine, monkeypatch):
+        run, config = ENGINE_RUNS[engine]
+        first, second = _program("li"), _program("go")
+        before, cpu = run(first, config)
+        run(second, config)
+
+        def not_again(inst):
+            raise AssertionError("a revisited program was decoded again")
+
+        monkeypatch.setattr(decode_module, "dest_reg", not_again)
+        monkeypatch.setattr(decode_module, "source_regs", not_again)
+        again, revisit = run(first, config)
+        assert revisit.decode is not cpu.decode
+        assert flatten_group(again.group) == flatten_group(before.group)
+
+    def test_columns_match_the_instructions(self):
+        program = _program()
+        table = DecodeTable(program)
+        text = program.text
+        assert table.size == len(text)
+        assert table.control == [inst.control for inst in text]
+        assert table.is_control == [inst.is_control for inst in text]
+        assert table.is_load == [inst.opcode is Opcode.LOAD for inst in text]
+        assert table.is_store == [inst.opcode is Opcode.STORE
+                                  for inst in text]
+        assert table.is_memory == [a or b for a, b in zip(table.is_load,
+                                                          table.is_store)]
+        assert table.is_mul == [inst.opcode is Opcode.MUL for inst in text]
+        assert table.is_halt == [inst.opcode is Opcode.HALT for inst in text]
+        assert table.latency == [exec_latency(inst) for inst in text]
+        assert table.dest == [-1 if dest_reg(inst) is None else dest_reg(inst)
+                              for inst in text]
+        sources = [source_regs(inst) + (-1, -1) for inst in text]
+        assert table.src1 == [regs[0] for regs in sources]
+        assert table.src2 == [regs[1] for regs in sources]
+        # one shared handler per opcode, no per-instruction closures
+        assert {id(fn) for fn in table.exec_fns} == {
+            id(decode_module._EXEC_BY_ID[decode_module._OP_ID[inst.opcode]])
+            for inst in text}
 
 
 class TestExecutorWiring:

@@ -364,6 +364,22 @@ class TestRunsCli:
         diff = json.loads(out.read_text())
         assert diff["metrics"]["cache.hit_rate"]["b"] == 1.0
 
+    def test_runs_list_headers_sit_over_their_fields(self, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert cli_main(["stack-depth", "--names", "li", "--scale", "0.05",
+                         "--jobs", "2"]) == 0
+        ledger_path = str(tmp_path / "cache" / "ledger.jsonl")
+        (entry,) = RunLedger(ledger_path).entries()
+        submitted = entry["submitted"]
+        assert entry["jobs"] == 2 and submitted not in (1, 2)
+        capsys.readouterr()
+        assert cli_main(["runs", "list", "--ledger", ledger_path]) == 0
+        _, header, _, row = capsys.readouterr().out.splitlines()
+        cell = {name: row[header.index(name):].split()[0]
+                for name in ("jobs", "workers")}
+        assert cell == {"jobs": str(submitted), "workers": "2"}
+
     def test_runs_errors_are_friendly(self, tmp_path, capsys):
         missing = str(tmp_path / "none.jsonl")
         assert cli_main(["runs", "list", "--ledger", missing]) == 1
