@@ -18,10 +18,9 @@ Examples:
     repro-sim corpus fetch benchmarks/tracesets/sample.json --check-manifest
     repro-sim corpus diffcheck traces/ --report diffreport.json
     repro-sim corpus report traces/ --engine batch
-    repro-sim cluster coordinator --bind 127.0.0.1:8736
-    repro-sim cluster worker --coordinator http://127.0.0.1:8736
-    repro-sim stack-depth --backend cluster     # sweep through the fleet
-    repro-sim serve --bind 127.0.0.1:8642       # HTTP API + dashboard
+    repro-sim serve --bind 127.0.0.1:8642       # HTTP API, dashboard, fleet
+    repro-sim cluster worker --coordinator http://127.0.0.1:8642
+    REPRO_COORDINATOR=http://127.0.0.1:8642 repro-sim stack-depth --backend cluster
     repro-sim runs list
     repro-sim runs compare -2 -1
     repro-sim trace show -1                     # waterfall of the last run
@@ -43,7 +42,6 @@ from typing import List, Optional
 from repro import telemetry
 from repro.config.defaults import baseline_config
 from repro.config.options import RepairMechanism, StackOrganization
-from repro.core import tables as table_builders
 from repro.core.executor import (
     BACKENDS,
     ResultCache,
@@ -334,26 +332,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rows per section (default 20)")
 
     p = sub.add_parser("cluster",
-                       help="distributed sweep fleet: coordinator, "
-                            "workers, status (docs/distributed.md)")
+                       help="distributed sweep fleet: workers and status "
+                            "of a `repro-sim serve` coordinator "
+                            "(docs/distributed.md)")
     clsub = p.add_subparsers(dest="cluster_command", required=True)
-
-    c = clsub.add_parser("coordinator",
-                         help="run a standalone coordinator (blocks; "
-                              "^C or POST /api/shutdown to stop)")
-    c.add_argument("--bind", default="127.0.0.1:8736",
-                   help="host:port to listen on (port 0 = ephemeral)")
-    c.add_argument("--lease-timeout", type=float, default=None,
-                   help="seconds before an unheartbeated lease is "
-                        "stolen (default 30)")
-    c.add_argument("--no-cache", action="store_true",
-                   help="serve without the shared result cache")
 
     c = clsub.add_parser("worker",
                          help="lease and execute jobs until the "
                               "coordinator drains")
     c.add_argument("--coordinator", required=True,
-                   help="coordinator URL, e.g. http://127.0.0.1:8736")
+                   help="coordinator URL, e.g. http://127.0.0.1:8642")
     c.add_argument("--name", default=None,
                    help="worker name for ledger attribution "
                         "(default: host-pid)")
@@ -371,16 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print the coordinator's /metricz Prometheus "
                         "text instead of the tables")
 
-    c = clsub.add_parser("submit",
-                         help="run the stack-depth sweep through an "
-                              "external coordinator")
-    common(c)
-    c.add_argument("--coordinator", required=True)
-    c.add_argument("--sizes", nargs="+", type=int,
-                   default=[1, 2, 4, 8, 12, 16, 32, 64])
-    c.add_argument("--mechanism", default="tos-pointer-contents",
-                   choices=[m.value for m in RepairMechanism])
-
     p = sub.add_parser("serve",
                        help="run the simulation service: HTTP API, job "
                             "queue, live dashboard (docs/service.md)")
@@ -394,7 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=list(BACKENDS),
                    help="where cache misses execute (docs/distributed.md)")
     p.add_argument("--coordinator", default=None,
-                   help="coordinator URL for --backend cluster")
+                   help="coordinator URL for --backend cluster (default: "
+                        "this server, leasing to the workers attached "
+                        "to it)")
+    p.add_argument("--lease-timeout", type=float, default=None,
+                   help="seconds before an unheartbeated worker lease "
+                        "is stolen (default 30)")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without the on-disk result cache")
     p.add_argument("--max-concurrency", type=int, default=2,
@@ -446,10 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="prove fast-engine counters bit-identical to "
                             "the reference engines (docs/engines.md)")
     common(p)
-    p.add_argument("--array-backend", default=None,
-                   choices=["python", "numpy"],
-                   help="force the columnar array backend for the sweep "
-                        "(default: $REPRO_CYCLE_BACKEND resolution)")
     p.add_argument("--ras-entries", nargs="+", type=int, default=[8, 32],
                    help="RAS sizes for the single-path cells")
     p.add_argument("--paths", nargs="+", type=int, default=[2],
@@ -507,7 +486,7 @@ def _parity_command(args: argparse.Namespace) -> int:
     reports = parity_sweep(
         args.names, seed=args.seed, scale=args.scale,
         ras_entries=tuple(args.ras_entries), paths=tuple(args.paths),
-        backend=args.array_backend, include_multipath=not args.no_multipath)
+        include_multipath=not args.no_multipath)
     rows = [[r.label, len(r.reference), "ok" if r.matches
              else f"{len(r.mismatches)} DIVERGING"] for r in reports]
     print(format_table(["cell", "stats compared", "verdict"], rows,
@@ -873,23 +852,6 @@ def _cluster_command(args: argparse.Namespace) -> int:
     from repro.obs.log import logger
 
     try:
-        if args.cluster_command == "coordinator":
-            from repro.cluster import DEFAULT_LEASE_TIMEOUT_S, Coordinator
-            lease = (DEFAULT_LEASE_TIMEOUT_S if args.lease_timeout is None
-                     else args.lease_timeout)
-            coordinator = Coordinator(
-                bind=args.bind,
-                cache=None if args.no_cache else ResultCache.default(),
-                lease_timeout_s=lease)
-            # scripts parse this exact line for the URL, so it stays in
-            # the event string (json mode carries it the same way)
-            logger("coordinator").info(
-                f"listening at {coordinator.url} (lease timeout {lease:g}s)")
-            try:
-                coordinator.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            return 0
         if args.cluster_command == "worker":
             from repro.cluster import run_worker
             stats = run_worker(
@@ -900,52 +862,38 @@ def _cluster_command(args: argparse.Namespace) -> int:
                 "done", **{name: value
                            for name, value in sorted(stats.items())})
             return 0
-        if args.cluster_command == "status":
-            from repro.cluster import ClusterClient
-            client = ClusterClient(args.coordinator)
-            if args.prom:
-                print(client.metricz(), end="")
-                return 0
-            status = client.status()
-            rows = [[name, value] for name, value
-                    in sorted((status.get("counts") or {}).items())]
-            rows += [["queue depth", status.get("queue_depth")],
-                     ["active leases", status.get("active_leases")],
-                     ["workers alive", status.get("workers_alive")],
-                     ["draining", status.get("draining")]]
-            metrics = status.get("metrics")
-            if isinstance(metrics, dict):
-                rows.append(["metrics", ", ".join(
-                    f"{len(metrics.get(section) or {})} {section}"
-                    for section in ("counters", "gauges", "rates",
-                                    "histograms"))])
-            print(format_table(["stat", "value"], rows,
-                               title=f"Coordinator {status.get('url')}"))
-            _print_fleet_table(status.get("workers") or {})
-            if args.json:
-                try:
-                    with open(args.json, "w") as handle:
-                        json.dump(status, handle, indent=2, default=str)
-                        handle.write("\n")
-                except OSError as error:
-                    print(f"repro-sim: cannot write --json {args.json}: "
-                          f"{error}", file=sys.stderr)
-                    return 1
-                print(f"json written to {args.json}", file=sys.stderr)
+        # status
+        from repro.cluster import ClusterClient
+        client = ClusterClient(args.coordinator)
+        if args.prom:
+            print(client.metricz(), end="")
             return 0
-        # submit: the stack-depth sweep through an external coordinator
-        executor = SweepExecutor(
-            jobs=args.jobs,
-            cache=None if args.no_cache else ResultCache.default(),
-            backend="cluster", coordinator_url=args.coordinator)
-        title, headers, rows = table_builders.fig_stack_depth(
-            names=args.names, sizes=args.sizes,
-            mechanism=RepairMechanism(args.mechanism),
-            seed=args.seed, scale=args.scale, executor=executor)
-        print(format_table(headers, rows, title=title))
-        _print_sweep_summary(executor)
+        status = client.status()
+        rows = [[name, value] for name, value
+                in sorted((status.get("counts") or {}).items())]
+        rows += [["queue depth", status.get("queue_depth")],
+                 ["active leases", status.get("active_leases")],
+                 ["workers alive", status.get("workers_alive")],
+                 ["draining", status.get("draining")]]
+        metrics = status.get("metrics")
+        if isinstance(metrics, dict):
+            rows.append(["metrics", ", ".join(
+                f"{len(metrics.get(section) or {})} {section}"
+                for section in ("counters", "gauges", "rates",
+                                "histograms"))])
+        print(format_table(["stat", "value"], rows,
+                           title=f"Coordinator {status.get('url')}"))
+        _print_fleet_table(status.get("workers") or {})
         if args.json:
-            return _write_json(args, title, headers, rows, executor)
+            try:
+                with open(args.json, "w") as handle:
+                    json.dump(status, handle, indent=2, default=str)
+                    handle.write("\n")
+            except OSError as error:
+                print(f"repro-sim: cannot write --json {args.json}: "
+                      f"{error}", file=sys.stderr)
+                return 1
+            print(f"json written to {args.json}", file=sys.stderr)
         return 0
     except ReproError as error:
         print(f"repro-sim cluster: {error}", file=sys.stderr)
@@ -1015,7 +963,6 @@ def _runs_command(args: argparse.Namespace) -> int:
                 rows = [[name, value] for name, value
                         in sorted((cluster.get("counts") or {}).items())]
                 rows += [["coordinator", cluster.get("coordinator")],
-                         ["embedded", cluster.get("embedded")],
                          ["sweep submitted", cluster.get("submitted")],
                          ["sweep unfinished", cluster.get("unfinished")]]
                 print(format_table(["stat", "value"], rows,
@@ -1080,9 +1027,9 @@ def _runs_command(args: argparse.Namespace) -> int:
 
 
 def _serve_command(args: argparse.Namespace) -> int:
-    from repro.cluster.coordinator import parse_bind
+    from repro.cluster import DEFAULT_LEASE_TIMEOUT_S, Coordinator
     from repro.errors import ReproError
-    from repro.service import ServiceServer, TenantLimiter, serve
+    from repro.service import ServiceServer, TenantLimiter, parse_bind, serve
 
     try:
         host, port = parse_bind(args.bind)
@@ -1092,9 +1039,12 @@ def _serve_command(args: argparse.Namespace) -> int:
             coordinator_url=args.coordinator)
         limiter = TenantLimiter(rate_per_s=args.rate, burst=args.burst,
                                 quota=args.quota)
+        coordinator = Coordinator(
+            cache=service.cache,
+            lease_timeout_s=args.lease_timeout or DEFAULT_LEASE_TIMEOUT_S)
         server = ServiceServer(service, host=host, port=port,
                                max_concurrency=args.max_concurrency,
-                               limiter=limiter)
+                               limiter=limiter, coordinator=coordinator)
         serve(server)
         return 0
     except ReproError as error:

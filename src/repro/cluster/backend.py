@@ -1,31 +1,26 @@
 """Executor-side orchestration of a distributed sweep.
 
 :func:`run_jobs_on_cluster` is what ``SweepExecutor`` calls when its
-backend is ``"cluster"``. Two topologies, one code path:
+backend is ``"cluster"``. The sweep is submitted to the coordinator at
+``REPRO_COORDINATOR`` (or an explicit URL): a ``repro-sim serve``
+process, whose ``/api/*`` routes are the fleet's coordinator. A
+service running ``--backend cluster`` with no ``--coordinator`` points
+its own sweeps at itself, so they lease to the workers attached to it.
+With no URL at all the sweep degrades to the local pool at once.
 
-* **External coordinator** (``REPRO_COORDINATOR=http://host:port`` or
-  an explicit URL): the sweep is submitted to a long-running
-  ``repro-sim cluster coordinator`` shared by many submitters.
-* **Embedded coordinator** (no URL configured): the executor hosts a
-  coordinator itself — bound to ``REPRO_CLUSTER_BIND`` (default
-  ``127.0.0.1:0``) — for the duration of one sweep, and stops it
-  (draining registered workers) afterwards.
-
-Either way the contract is: wait up to the grace window for at least
-one live worker, else raise
-:class:`~repro.errors.ClusterUnavailable` so the executor degrades to
-its local process pool; then submit, poll the batch, and return results
-*in submission order*. Jobs the cluster could not finish (terminal
-retry-budget failures, or a fleet that died mid-batch) come back as
-``None`` — the executor completes exactly those in-process, so a sweep
-through a flaky fleet still terminates with full, deterministic rows.
+The contract: wait up to the grace window for at least one live
+worker, else raise :class:`~repro.errors.ClusterUnavailable` so the
+executor degrades to its local process pool; then submit, poll the
+batch, and return results *in submission order*. Jobs the cluster could
+not finish (terminal retry-budget failures, or a fleet that died
+mid-batch) come back as ``None`` — the executor completes exactly those
+in-process, so a sweep through a flaky fleet still terminates with
+full, deterministic rows.
 
 Environment knobs (docs/distributed.md §3):
 
-* ``REPRO_COORDINATOR`` — external coordinator URL.
-* ``REPRO_CLUSTER_BIND`` — embedded coordinator bind address.
+* ``REPRO_COORDINATOR`` — coordinator URL.
 * ``REPRO_CLUSTER_GRACE_S`` — worker-registration grace (default 5).
-* ``REPRO_CLUSTER_LEASE_S`` — lease timeout for embedded coordinators.
 """
 
 from __future__ import annotations
@@ -34,14 +29,10 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.coordinator import Coordinator, merge_cluster_metrics
-from repro.cluster.protocol import (
-    DEFAULT_LEASE_TIMEOUT_S,
-    ClusterClient,
-    decode_result,
-)
+from repro import telemetry
+from repro.cluster.protocol import ClusterClient, decode_result
 from repro.core.executor import ExperimentJob, JobResult, ResultCache
-from repro.errors import ClusterError, ClusterUnavailable
+from repro.errors import ClusterUnavailable
 from repro.obs import context as tracectx
 from repro.telemetry import span
 
@@ -57,6 +48,13 @@ def default_grace_s() -> float:
 
 def configured_coordinator() -> Optional[str]:
     return os.environ.get("REPRO_COORDINATOR") or None
+
+
+def merge_cluster_metrics(snapshot: Dict[str, object]) -> None:
+    """Fold a coordinator metrics snapshot into the process-global
+    registry (no-op when telemetry is off)."""
+    if telemetry.enabled():
+        telemetry.metrics().merge(snapshot)
 
 
 def _wait_for_workers(client: ClusterClient, grace_s: float) -> None:
@@ -120,68 +118,56 @@ def run_jobs_on_cluster(
     jobs = list(jobs)
     grace = default_grace_s() if grace_s is None else grace_s
     url = coordinator_url or configured_coordinator()
-    embedded: Optional[Coordinator] = None
     if url is None:
-        bind = os.environ.get("REPRO_CLUSTER_BIND", "127.0.0.1:0")
-        lease_s = float(os.environ.get("REPRO_CLUSTER_LEASE_S",
-                                       DEFAULT_LEASE_TIMEOUT_S))
-        embedded = Coordinator(bind=bind, cache=cache,
-                               lease_timeout_s=lease_s).start()
-        url = embedded.url
+        raise ClusterUnavailable(
+            "no coordinator configured (set REPRO_COORDINATOR or "
+            "--coordinator); degrading to the local backend")
     client = ClusterClient(url)
-    try:
-        with span("cluster/batch", jobs=len(jobs), embedded=embedded
-                  is not None) as batch_span:
-            _wait_for_workers(client, grace)
-            # Unkeyed jobs (raw programs, checksum-less shards) cannot
-            # be deduped or cached remotely; they stay local.
-            keyed = [i for i, job in enumerate(jobs)
-                     if job.cache_key() is not None]
-            results: List[Optional[JobResult]] = [None] * len(jobs)
-            summary: Dict[str, object] = {"coordinator": url,
-                                          "embedded": embedded is not None,
-                                          "submitted": len(keyed),
-                                          "local_jobs": len(jobs) - len(keyed)}
-            if keyed:
-                # the ambient context (pushed by the executor's trace
-                # capture, around the cluster/batch span above) rides
-                # the submit payload so coordinator and worker spans
-                # join this sweep's trace
-                ctx = tracectx.current()
-                submitted = client.submit(
-                    [jobs[i] for i in keyed],
-                    trace=tracectx.to_wire(ctx) if ctx is not None else None)
-                batch_id = str(submitted["batch_id"])
-                status = _poll_batch(client, batch_id, grace)
-                raw_results = status.get("results") or [None] * len(keyed)
-                unfinished = 0
-                for index, payload in zip(keyed, raw_results):
-                    if payload is None:
-                        unfinished += 1
-                    else:
-                        results[index] = decode_result(payload)
-                summary["unfinished"] = unfinished
-                summary["errors"] = status.get("errors") or {}
-                spans = status.get("spans")
-                if ctx is not None and isinstance(spans, list):
-                    # worker + coordinator span batches; the capture
-                    # filters them to this trace before persisting
-                    summary["spans"] = [item for item in spans
-                                        if isinstance(item, dict)]
-            cluster_status = client.status()
-            summary["workers"] = cluster_status.get("workers", {})
-            summary["counts"] = cluster_status.get("counts", {})
-            summary["peaks"] = cluster_status.get("peaks", {})
-            metrics = cluster_status.get("metrics")
-            if isinstance(metrics, dict):
-                merge_cluster_metrics(metrics)
-                summary["metrics"] = metrics
-            if batch_span is not None:
-                batch_span.set(unfinished=summary.get("unfinished", 0),
-                               workers=len(summary["workers"]))  # type: ignore[arg-type]
-            return results, summary
-    except (ClusterError, ClusterUnavailable):
-        raise
-    finally:
-        if embedded is not None:
-            embedded.stop(drain=True)
+    with span("cluster/batch", jobs=len(jobs)) as batch_span:
+        _wait_for_workers(client, grace)
+        # Unkeyed jobs (raw programs, checksum-less shards) cannot
+        # be deduped or cached remotely; they stay local.
+        keyed = [i for i, job in enumerate(jobs)
+                 if job.cache_key() is not None]
+        results: List[Optional[JobResult]] = [None] * len(jobs)
+        summary: Dict[str, object] = {"coordinator": url,
+                                      "submitted": len(keyed),
+                                      "local_jobs": len(jobs) - len(keyed)}
+        if keyed:
+            # the ambient context (pushed by the executor's trace
+            # capture, around the cluster/batch span above) rides
+            # the submit payload so coordinator and worker spans
+            # join this sweep's trace
+            ctx = tracectx.current()
+            submitted = client.submit(
+                [jobs[i] for i in keyed],
+                trace=tracectx.to_wire(ctx) if ctx is not None else None)
+            batch_id = str(submitted["batch_id"])
+            status = _poll_batch(client, batch_id, grace)
+            raw_results = status.get("results") or [None] * len(keyed)
+            unfinished = 0
+            for index, payload in zip(keyed, raw_results):
+                if payload is None:
+                    unfinished += 1
+                else:
+                    results[index] = decode_result(payload)
+            summary["unfinished"] = unfinished
+            summary["errors"] = status.get("errors") or {}
+            spans = status.get("spans")
+            if ctx is not None and isinstance(spans, list):
+                # worker + coordinator span batches; the capture
+                # filters them to this trace before persisting
+                summary["spans"] = [item for item in spans
+                                    if isinstance(item, dict)]
+        cluster_status = client.status()
+        summary["workers"] = cluster_status.get("workers", {})
+        summary["counts"] = cluster_status.get("counts", {})
+        summary["peaks"] = cluster_status.get("peaks", {})
+        metrics = cluster_status.get("metrics")
+        if isinstance(metrics, dict):
+            merge_cluster_metrics(metrics)
+            summary["metrics"] = metrics
+        if batch_span is not None:
+            batch_span.set(unfinished=summary.get("unfinished", 0),
+                           workers=len(summary["workers"]))  # type: ignore[arg-type]
+        return results, summary

@@ -1,13 +1,13 @@
-"""The cluster coordinator: a stdlib HTTP server over a lease table.
+"""The cluster coordinator: request handlers over a lease table.
 
-One :class:`Coordinator` owns the job queue for a fleet. It can run
-standalone (``repro-sim cluster coordinator``) to serve many sweeps
-from many submitters, or *embedded* — started by a
-:class:`~repro.core.executor.SweepExecutor` running with
-``--backend cluster`` and stopped when its sweep completes.
+:class:`Coordinator` turns decoded ``/api/*`` JSON payloads into
+:class:`~repro.cluster.leases.LeaseTable` calls and JSON replies. It
+owns no socket and no thread: the simulation service
+(:class:`~repro.service.http.ServiceServer`, ``repro-sim serve``)
+routes ``/api/*`` to it, so one server is both the sweep API and the
+fleet's coordinator.
 
-Responsibilities beyond routing HTTP to the
-:class:`~repro.cluster.leases.LeaseTable`:
+Responsibilities beyond the lease table:
 
 * **Key derivation.** Submitted job payloads are decoded and keyed by
   ``ExperimentJob.cache_key()`` *on the coordinator*, so the queue's
@@ -20,27 +20,23 @@ Responsibilities beyond routing HTTP to the
   finished and never queued (a restarted coordinator thus rebuilds
   "already done" from the cache). Accepted completions are written
   back with ``put_if_absent`` — first writer wins, duplicates never
-  double-count cache statistics.
+  double-count cache statistics. These two handlers touch the disk, so
+  the server runs them off its event loop.
 * **Telemetry.** Queue depth / active leases / worker peaks are kept
   as gauges, robustness events (steals, retries, duplicates,
   failures) as counters, and per-worker attribution as labelled
   counters, all exported as a
   :class:`~repro.telemetry.MetricsRegistry` snapshot in
-  ``GET /api/status`` (metric names in docs/observability.md).
+  ``GET /api/status`` and on the service's ``/metricz`` (metric names
+  in docs/observability.md).
 """
 
 from __future__ import annotations
 
-import http.server
-import json
-import threading
-import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set
 
-from repro import telemetry
 from repro.cluster.leases import LeaseTable
 from repro.obs import context as tracectx
-from repro.obs import prom
 from repro.cluster.protocol import (
     DEFAULT_LEASE_TIMEOUT_S,
     DEFAULT_POLL_INTERVAL_S,
@@ -50,162 +46,35 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.retry import RetryPolicy
 from repro.core.executor import ResultCache
-from repro.errors import ClusterError, ReproError
+from repro.errors import ClusterError
 from repro.telemetry import MetricsRegistry, span
 from repro.telemetry.spans import recorder
 
 
-def parse_bind(bind: str) -> tuple:
-    """``"host:port"`` -> ``(host, port)`` (port 0 = ephemeral)."""
-    host, _, port = bind.rpartition(":")
-    if not host:
-        raise ClusterError(f"bad bind address {bind!r}; want host:port")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ClusterError(f"bad bind port in {bind!r}")
-
-
-class _Handler(http.server.BaseHTTPRequestHandler):
-    """Routes /api/* to the owning coordinator; silent access log."""
-
-    protocol_version = "HTTP/1.1"
-    coordinator: "Coordinator"  # set on the per-coordinator subclass
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        pass  # the coordinator is chatty enough through its metrics
-
-    def _reply(self, payload: Dict[str, object], code: int = 200) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length", "0") or "0")
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except ValueError as error:
-            raise ClusterError(f"request body is not JSON: {error}")
-        if not isinstance(payload, dict):
-            raise ClusterError("request body must be a JSON object")
-        return payload
-
-    def _reply_text(self, body: str, content_type: str,
-                    code: int = 200) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        try:
-            if self.path == "/api/status":
-                self._reply(self.coordinator.status())
-            elif self.path.startswith("/api/batch/"):
-                batch_id = self.path.rsplit("/", 1)[-1]
-                self._reply(self.coordinator.batch_status(batch_id))
-            elif self.path == "/healthz":
-                self._reply(self.coordinator.healthz())
-            elif self.path == "/metricz":
-                self._reply_text(self.coordinator.metricz(),
-                                 prom.CONTENT_TYPE)
-            else:
-                self._reply({"error": f"unknown path {self.path}"}, 404)
-        except ReproError as error:
-            self._reply({"error": str(error)}, 400)
-        except OSError:  # pragma: no cover - client went away mid-reply
-            pass
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            payload = self._read_json()
-            handler = {
-                "/api/register": self.coordinator.handle_register,
-                "/api/lease": self.coordinator.handle_lease,
-                "/api/heartbeat": self.coordinator.handle_heartbeat,
-                "/api/complete": self.coordinator.handle_complete,
-                "/api/fail": self.coordinator.handle_fail,
-                "/api/submit": self.coordinator.handle_submit,
-                "/api/shutdown": self.coordinator.handle_shutdown,
-            }.get(self.path)
-            if handler is None:
-                self._reply({"error": f"unknown path {self.path}"}, 404)
-                return
-            self._reply(handler(payload))
-        except ReproError as error:
-            self._reply({"error": str(error)}, 400)
-        except OSError:  # pragma: no cover - client went away mid-reply
-            pass
-
-
 class Coordinator:
-    """Serve a work-stealing job queue over localhost/LAN HTTP."""
+    """The work-stealing job queue's endpoint handlers."""
 
     def __init__(
         self,
-        bind: str = "127.0.0.1:0",
-        cache: Union[ResultCache, None, str] = "default",
+        cache: Optional[ResultCache] = None,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
         policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if cache == "default":
-            self.cache: Optional[ResultCache] = ResultCache.default()
-        else:
-            self.cache = cache  # type: ignore[assignment]
+        self.cache = cache
         self.poll_interval_s = poll_interval_s
         self.table = LeaseTable(lease_timeout_s=lease_timeout_s,
                                 policy=policy)
-        self._draining = False
-        self._started_ts = time.time()
+        #: Set by the owning server once its drain is done: from then
+        #: on every lease poll answers ``shutdown``.
+        self.shutting_down = False
+        #: Worker ids that have been told to shut down.
+        self.told: Set[str] = set()
         self._peaks = {"queue_depth": 0, "active_leases": 0, "workers": 0}
-        handler = type("BoundHandler", (_Handler,), {"coordinator": self})
-        host, port = parse_bind(bind)
-        try:
-            self._server = http.server.ThreadingHTTPServer(
-                (host, port), handler)
-        except OSError as error:
-            raise ClusterError(f"cannot bind coordinator to {bind}: {error}")
-        self._server.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
 
-    # -- lifecycle -----------------------------------------------------
-
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "Coordinator":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-cluster-coordinator", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self, drain: bool = True) -> None:
-        """Stop serving; with ``drain`` workers are told to shut down
-        on their next lease poll before the socket closes."""
-        self._draining = drain
-        self._server.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
-
-    def serve_forever(self) -> None:
-        """Blocking serve loop (the standalone CLI path)."""
-        try:
-            self._server.serve_forever(poll_interval=0.05)
-        finally:
-            self._server.server_close()
+    def fleet_told(self) -> bool:
+        """Whether every live worker has heard ``shutdown``."""
+        return len(self.told) >= self.table.workers_alive()
 
     # -- peak tracking -------------------------------------------------
 
@@ -247,10 +116,12 @@ class Coordinator:
         sp.parent_id = ctx.span_id or None
 
     def handle_lease(self, payload: Dict[str, object]) -> Dict[str, object]:
-        if self._draining:
+        worker_id = str(payload.get("worker_id", ""))
+        if self.shutting_down:
+            self.told.add(worker_id)
             return {"status": "shutdown"}
         with span("cluster/lease") as sp:
-            grant = self.table.lease(str(payload.get("worker_id", "")))
+            grant = self.table.lease(worker_id)
             if grant is not None:
                 self._tag_span(sp, grant.get("trace"))
         self._track_peaks()
@@ -330,12 +201,6 @@ class Coordinator:
         self._track_peaks()
         return {"batch_id": batch_id, "submitted": len(jobs), **stats}
 
-    def handle_shutdown(self, payload: Dict[str, object]) -> Dict[str, object]:
-        # shutdown() blocks until serve_forever exits, so it must run
-        # off the request thread that is inside serve_forever's handler
-        threading.Thread(target=self.stop, daemon=True).start()
-        return {"ok": True}
-
     # -- introspection -------------------------------------------------
 
     def batch_status(self, batch_id: str) -> Dict[str, object]:
@@ -353,28 +218,6 @@ class Coordinator:
                 status["spans"] = (merged if isinstance(merged, list)
                                    else []) + own
         return status
-
-    def healthz(self) -> Dict[str, object]:
-        """Liveness/readiness snapshot (the service has the same shape)."""
-        return {
-            "ok": True,
-            "draining": self._draining,
-            "workers_alive": self.table.workers_alive(),
-            "queue_depth": self.table.queue_depth(),
-            "uptime_s": round(time.time() - self._started_ts, 3),
-        }
-
-    def metricz(self) -> str:
-        """Prometheus text exposition of the fleet metrics snapshot."""
-        stats = self.table.stats()
-        return prom.render_prometheus(
-            self.metrics_snapshot(),
-            extra_gauges={
-                "cluster.uptime_s": round(time.time() - self._started_ts, 3),
-                "cluster.draining": 1.0 if self._draining else 0.0,
-                "cluster.workers_alive": self.table.workers_alive(),
-                "cluster.jobs_total": stats["jobs"]["total"],  # type: ignore[index]
-            })
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """Cluster state as a mergeable metrics snapshot.
@@ -398,17 +241,8 @@ class Coordinator:
 
     def status(self) -> Dict[str, object]:
         stats = self.table.stats()
-        stats["url"] = self.url
         stats["version"] = PROTOCOL_VERSION
-        stats["draining"] = self._draining
         stats["workers_alive"] = self.table.workers_alive()
         stats["peaks"] = dict(self._peaks)
         stats["metrics"] = self.metrics_snapshot()
         return stats
-
-
-def merge_cluster_metrics(snapshot: Dict[str, object]) -> None:
-    """Fold a coordinator metrics snapshot into the process-global
-    registry (no-op when telemetry is off)."""
-    if telemetry.enabled():
-        telemetry.metrics().merge(snapshot)

@@ -1,9 +1,10 @@
 """Wire protocol of the distributed sweep backend.
 
-Everything is JSON over plain HTTP/1.1 — ``http.server`` on the
-coordinator side, ``urllib.request`` on the client side — so a fleet
-needs nothing beyond the Python standard library. The full endpoint
-reference lives in docs/distributed.md; in short:
+Everything is JSON over plain HTTP/1.1 — the asyncio service
+(``repro-sim serve``) on the coordinator side, ``urllib.request`` on
+the client side — so a fleet needs nothing beyond the Python standard
+library. The full endpoint reference lives in docs/distributed.md; in
+short:
 
 ========================  =============================================
 ``POST /api/register``    worker announces itself, learns lease/poll
@@ -15,7 +16,7 @@ reference lives in docs/distributed.md; in short:
 ``POST /api/submit``      client enqueues a batch of encoded jobs
 ``GET  /api/batch/<id>``  client polls a batch (results when done)
 ``GET  /api/status``      queue/lease/worker stats + metrics snapshot
-``POST /api/shutdown``    stop the coordinator loop
+``POST /api/shutdown``    drain the server, then tell workers to stop
 ========================  =============================================
 
 Jobs cross the wire as plain dicts (:func:`encode_job` /
@@ -43,9 +44,6 @@ from repro.trace.replay import TraceShardSpec
 
 #: Bump when the wire format changes shape; both ends check it.
 PROTOCOL_VERSION = 1
-
-#: Default coordinator bind address for the standalone CLI.
-DEFAULT_BIND = "127.0.0.1:0"
 
 #: Seconds a worker may hold a lease without heartbeat before the
 #: coordinator declares it dead and re-queues (steals back) the job.
@@ -159,14 +157,17 @@ class ClusterClient:
                 body = response.read()
         except urllib.error.HTTPError as error:
             detail = ""
-            try:
-                detail = json.loads(error.read().decode("utf-8")).get(
-                    "error", "")
-            except (ValueError, OSError, AttributeError):
-                pass
-            raise ClusterError(
-                f"coordinator rejected {path}: HTTP {error.code}"
-                + (f" ({detail})" if detail else ""))
+            with error:
+                try:
+                    detail = json.loads(error.read().decode("utf-8")).get(
+                        "error", "")
+                except (ValueError, OSError, AttributeError):
+                    pass
+            message = (f"coordinator rejected {path}: HTTP {error.code}"
+                       + (f" ({detail})" if detail else ""))
+            if error.code == 503:  # draining: same as unreachable
+                raise ClusterUnavailable(message)
+            raise ClusterError(message)
         except (urllib.error.URLError, OSError, TimeoutError) as error:
             raise ClusterUnavailable(
                 f"coordinator unreachable at {self.base_url}: {error}")
@@ -229,15 +230,16 @@ class ClusterClient:
         return self.call("/api/shutdown", {})
 
     def metricz(self) -> str:
-        """Fetch ``/metricz`` raw — Prometheus text, not JSON, so it
-        bypasses :meth:`call`'s JSON decoding."""
-        url = f"{self.base_url}/metricz"
+        """Fetch ``/metricz?format=prom`` raw — Prometheus text, not
+        JSON, so it bypasses :meth:`call`'s JSON decoding."""
+        url = f"{self.base_url}/metricz?format=prom"
         try:
             with urllib.request.urlopen(
                     urllib.request.Request(url, method="GET"),
                     timeout=self.timeout_s) as response:
                 return response.read().decode("utf-8")
         except urllib.error.HTTPError as error:
+            error.close()
             raise ClusterError(f"coordinator rejected /metricz: "
                                f"HTTP {error.code}")
         except (urllib.error.URLError, OSError, TimeoutError) as error:

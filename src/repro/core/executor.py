@@ -684,11 +684,11 @@ class SweepExecutor:
 
     With ``backend="cluster"`` (or ``REPRO_BACKEND=cluster``) cache
     misses are shipped to a fleet of ``repro-sim cluster worker``
-    processes through a work-stealing coordinator —
-    ``coordinator_url`` / ``REPRO_COORDINATOR`` names an external one,
-    otherwise the executor embeds its own for the sweep — with the
-    result cache as the shared dedupe layer. No reachable coordinator
-    or no registered worker degrades gracefully to the local path.
+    processes through the work-stealing coordinator of a
+    ``repro-sim serve`` named by ``coordinator_url`` /
+    ``REPRO_COORDINATOR``, with the result cache as the shared dedupe
+    layer. No configured or reachable coordinator, or no registered
+    worker, degrades gracefully to the local path.
     See docs/distributed.md.
     """
 

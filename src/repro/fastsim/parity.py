@@ -153,22 +153,15 @@ def check_cycle_parity(
     config: Optional[MachineConfig] = None,
     max_instructions: Optional[int] = None,
     label: str = "cycle",
-    backend: Optional[str] = None,
 ) -> ParityReport:
-    """Run reference ``repro.pipeline`` and the columnar engine; compare.
-
-    ``backend`` forces the columnar engine's array backend ("python" or
-    "numpy") independently of ``REPRO_CYCLE_BACKEND``, so a single
-    process can cross-check both.
-    """
+    """Run reference ``repro.pipeline`` and the columnar engine; compare."""
     from repro.fastsim.cycle import run_cycle_fast
 
     config = config or baseline_config()
     ref_result, _ = run_cycle(program, config,
                               max_instructions=max_instructions)
     fast_result, _ = run_cycle_fast(program, config,
-                                    max_instructions=max_instructions,
-                                    backend=backend)
+                                    max_instructions=max_instructions)
     reference = flatten_group(ref_result.group)
     reference.update(_headline(ref_result))
     fast = flatten_group(fast_result.group)
@@ -204,7 +197,6 @@ def parity_sweep(
     ras_entries: Sequence[int] = (8, 32),
     paths: Sequence[int] = (2,),
     organizations: Optional[Iterable[StackOrganization]] = None,
-    backend: Optional[str] = None,
     include_multipath: bool = True,
 ) -> List[ParityReport]:
     """Sweep the full parity matrix and return one report per cell.
@@ -230,7 +222,7 @@ def parity_sweep(
                 label = (f"cycle/{name}/{mechanism.value}/"
                          f"ras{entries}")
                 reports.append(check_cycle_parity(
-                    program, config, label=label, backend=backend))
+                    program, config, label=label))
         if not include_multipath:
             continue
         for path_budget in paths:

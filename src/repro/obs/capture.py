@@ -38,9 +38,10 @@ class TraceCapture:
         self.trace_id = trace_id
         self._ctx_token = ctx_token
         self._spans: List[Dict[str, object]] = []
-        # span_ids already merged: with an embedded coordinator its
-        # spans arrive twice (recorded in-process AND shipped back on
-        # batch_status), and dedup here keeps the trace single-copy
+        # span_ids already merged: when the sweep runs inside the
+        # service that coordinates it, the coordinator's spans arrive
+        # twice (recorded in-process AND shipped back on batch_status),
+        # and dedup here keeps the trace single-copy
         self._seen: set = set()
         self._sealed = False
         self._closed = False

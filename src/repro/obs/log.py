@@ -1,6 +1,6 @@
 """Structured stderr logging with trace correlation.
 
-Every fleet process (coordinator, worker, service) logs through
+Every fleet process (service/coordinator, worker) logs through
 :func:`logger`. The default rendering is the plain text the CLI has
 always printed — existing line shapes are preserved exactly, because
 CI and shell pipelines parse them (``sed -n 's/.*listening at //p'``).
@@ -12,8 +12,8 @@ the ambient trace context / explicit fields — ready for ingestion.
 Usage::
 
     from repro.obs.log import logger
-    log = logger("coordinator")
-    log.info(f"listening at {url} (lease timeout {lease:g}s)")
+    log = logger("service")
+    log.info(f"listening at {url}")
     log.info("batch done", run_id=run_id, jobs=12)
 
 In text mode extra fields append as ``key=value`` pairs *after* the

@@ -4,8 +4,8 @@ One function, :func:`render_prometheus`, turns any snapshot produced by
 ``MetricsRegistry.snapshot()`` (sections ``counters`` / ``gauges`` /
 ``rates`` / ``histograms``, keys shaped ``name{k=v,...}`` by
 ``metric_key``) into the Prometheus text exposition format, version
-0.0.4. It backs the service ``/metricz`` (``?format=prom``), the
-coordinator ``/metricz``, and ``repro-sim cluster status --prom``.
+0.0.4. It backs the service ``/metricz`` (``?format=prom``, fleet
+samples included) and ``repro-sim cluster status --prom``.
 
 Mapping:
 

@@ -11,7 +11,8 @@ The package the ROADMAP's service item asked for, in four layers:
   token buckets and outstanding-job quotas (default open).
 * :mod:`repro.service.http` — the asyncio HTTP/SSE frontend and the
   ``repro-sim serve`` entrypoint, plus the ``/`` dashboard
-  (:mod:`repro.service.dashboard`).
+  (:mod:`repro.service.dashboard`) and the cluster coordinator's
+  ``/api/*`` routes.
 """
 
 from repro.service.core import (
@@ -22,7 +23,7 @@ from repro.service.core import (
     SweepRequest,
     normalize_request,
 )
-from repro.service.http import BackgroundServer, ServiceServer, serve
+from repro.service.http import BackgroundServer, ServiceServer, parse_bind, serve
 from repro.service.queue import JobQueue, SweepJob
 from repro.service.ratelimit import TenantLimiter, TokenBucket
 
@@ -35,6 +36,7 @@ __all__ = [
     "normalize_request",
     "BackgroundServer",
     "ServiceServer",
+    "parse_bind",
     "serve",
     "JobQueue",
     "SweepJob",

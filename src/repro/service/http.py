@@ -1,14 +1,14 @@
-"""The asyncio HTTP frontend: REST + SSE over the service core.
+"""The asyncio HTTP frontend: REST + SSE over the service core, and
+the cluster coordinator's ``/api/*`` routes.
 
-Stdlib only, by the same policy as :mod:`repro.cluster`: one
-``asyncio.start_server`` loop, hand-rolled HTTP/1.1 framing
-(``Connection: close`` per request — every response carries an explicit
-length or streams until close, so framing stays trivial), JSON bodies.
-Where the cluster coordinator uses ``ThreadingHTTPServer`` because its
-handlers block on leases, the service layer is asyncio because its
-defining workload is *many idle readers* (SSE dashboards, pollers)
-around a few long engine runs — exactly the shape an event loop serves
-cheaply and threads don't.
+Stdlib only: one ``asyncio.start_server`` loop, hand-rolled HTTP/1.1
+framing (``Connection: close`` per request — every response carries an
+explicit length or streams until close, so framing stays trivial),
+JSON bodies. The defining workload is *many idle readers* (SSE
+dashboards, pollers, lease-polling workers) around a few long engine
+runs — exactly the shape an event loop serves cheaply. This is the
+repo's only HTTP server: the same port serves sweeps and coordinates
+the worker fleet (:class:`~repro.cluster.coordinator.Coordinator`).
 
 Surface (see docs/service.md for the contract):
 
@@ -21,9 +21,11 @@ Surface (see docs/service.md for the contract):
 ``GET /v1/runs``                      run-ledger list (``?limit=``)
 ``GET /v1/runs/compare``              ``?a=&b=`` config/metric diff
 ``GET /v1/runs/{id}``                 one ledger entry + integrity verdict
-``GET /healthz``                      liveness + drain state
-``GET /metricz``                      queue/cache/ledger/limiter + metrics
+``GET /healthz``                      liveness + drain + fleet state
+``GET /metricz``                      queue/cache/ledger/limiter/fleet
 ``GET /``                             the live-runs dashboard (HTML)
+``POST /api/{register,lease,...}``    the coordinator (docs/distributed.md)
+``GET /api/status``, ``/api/batch/*``  fleet and batch state
 ====================================  =====================================
 
 Admission: tenant = ``X-Api-Key`` header (absent → ``anonymous``);
@@ -31,11 +33,13 @@ rate/quota rejections are 429 with ``Retry-After``; submits during
 drain are 503 with ``Retry-After``. Coalesced submits bypass admission
 — they attach to paid-for work.
 
-Shutdown: SIGTERM/SIGINT triggers *graceful drain* — in-flight and
-queued jobs finish, reads keep working, new submits get 503 — then the
-process exits 0. The startup line ``service listening at
-http://host:port`` goes to stderr so scripts (and the CI smoke job) can
-bind port 0 and discover the real port.
+Shutdown: SIGTERM/SIGINT or ``POST /api/shutdown`` triggers *graceful
+drain* — in-flight and queued jobs finish (workers keep leasing and
+completing for them), reads keep working, new submits get 503; once
+the queue is idle, lease polls answer ``shutdown`` and the process
+exits 0 as soon as every live worker has heard it. The startup line
+``service listening at http://host:port`` goes to stderr so scripts
+(and the CI smoke job) can bind port 0 and discover the real port.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from typing import Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro import telemetry
-from repro.errors import ServiceError, TelemetryError
+from repro.cluster.coordinator import Coordinator
+from repro.errors import ReproError, ServiceError, TelemetryError
 from repro.obs import context as tracectx
 from repro.obs import prom
 from repro.obs.log import logger
@@ -79,6 +84,17 @@ STATUS_REASONS = {
 }
 
 
+def parse_bind(bind: str) -> Tuple[str, int]:
+    """``"host:port"`` -> ``(host, port)`` (port 0 = ephemeral)."""
+    host, _, port = bind.rpartition(":")
+    if not host:
+        raise ServiceError(f"bad bind address {bind!r}; want host:port")
+    try:
+        return host, int(port)
+    except ValueError:
+        raise ServiceError(f"bad bind port in {bind!r}")
+
+
 class HttpError(Exception):
     """An error with a wire status; the handler renders it as JSON."""
 
@@ -90,7 +106,14 @@ class HttpError(Exception):
 
 
 class ServiceServer:
-    """One service instance: engine facade + queue + admission + HTTP."""
+    """One service instance: engine facade + queue + admission +
+    fleet coordinator + HTTP.
+
+    ``JobQueue`` coalesces sweep requests; the coordinator's
+    ``LeaseTable`` coalesces executor jobs. They stay separate: a
+    sweep through ``--backend cluster`` is one queue job that submits a
+    lease-table batch.
+    """
 
     def __init__(
         self,
@@ -100,6 +123,7 @@ class ServiceServer:
         max_concurrency: int = 2,
         limiter: Optional[TenantLimiter] = None,
         slow_s: Optional[float] = None,
+        coordinator: Optional[Coordinator] = None,
     ) -> None:
         self.service = service if service is not None else SimulationService()
         self.host = host
@@ -107,11 +131,17 @@ class ServiceServer:
         self.queue = JobQueue(self.service, max_concurrency=max_concurrency,
                               slow_s=slow_s)
         self.limiter = limiter if limiter is not None else TenantLimiter()
+        self.coordinator = (coordinator if coordinator is not None
+                            else Coordinator(cache=self.service.cache))
         self.draining = False
         self.started_ts = time.time()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._drain_task: Optional[asyncio.Task] = None
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
 
     # -- lifecycle ------------------------------------------------------
 
@@ -128,13 +158,18 @@ class ServiceServer:
         for sock in sockets:
             self.port = sock.getsockname()[1]
             break
+        if (self.service.backend == "cluster"
+                and self.service.coordinator_url is None):
+            # self-coordinated: this server's sweeps lease their cache
+            # misses to the workers attached to its own /api routes
+            self.service.coordinator_url = self.url
 
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self.queue.shutdown()
+        await self.queue.shutdown()
 
     def request_drain(self) -> None:
         """Begin graceful drain (idempotent; the SIGTERM handler)."""
@@ -145,6 +180,14 @@ class ServiceServer:
 
     async def _drain(self) -> None:
         await self.queue.wait_idle()
+        # only now do lease polls answer "shutdown"; the socket stays
+        # open until every live worker has heard it (at most one lease
+        # timeout: a worker silent that long is dead anyway)
+        coordinator = self.coordinator
+        coordinator.shutting_down = True
+        deadline = time.monotonic() + coordinator.table.lease_timeout_s
+        while not coordinator.fleet_told() and time.monotonic() < deadline:
+            await asyncio.sleep(coordinator.poll_interval_s)
         assert self._stop_event is not None
         self._stop_event.set()
 
@@ -153,7 +196,7 @@ class ServiceServer:
         await self.start()
         # the URL stays inside the event string: scripts (and the CI
         # smoke job) discover ephemeral ports by parsing this exact line
-        log.info(f"listening at http://{self.host}:{self.port}")
+        log.info(f"listening at {self.url}")
         loop = asyncio.get_event_loop()
         try:
             loop.add_signal_handler(signal.SIGTERM, self.request_drain)
@@ -184,10 +227,10 @@ class ServiceServer:
             except HttpError as error:
                 await _send_json(writer, error.status,
                                  {"error": str(error)}, error.headers)
-            except ServiceError as error:
-                await _send_json(writer, 400, {"error": str(error)})
             except TelemetryError as error:
                 await _send_json(writer, 404, {"error": str(error)})
+            except ReproError as error:  # ServiceError, ClusterError
+                await _send_json(writer, 400, {"error": str(error)})
             except Exception as error:  # noqa: BLE001 - keep the loop alive
                 await _send_json(
                     writer, 500,
@@ -256,6 +299,9 @@ class ServiceServer:
         elif path.startswith("/v1/runs/") and method == "GET":
             await _send_json(writer, 200,
                              self.service.run_entry(path[len("/v1/runs/"):]))
+        elif path.startswith("/api/"):
+            await _send_json(writer, 200,
+                             await self._coordinate(method, path, body))
         elif path in ("/", "/healthz", "/metricz", "/v1/sweeps",
                       "/v1/events", "/v1/runs") or path.startswith("/v1/"):
             raise HttpError(405, f"{method} not allowed on {path}",
@@ -271,12 +317,56 @@ class ServiceServer:
 
     # -- handlers -------------------------------------------------------
 
+    async def _coordinate(self, method: str, path: str,
+                          body: bytes) -> Dict[str, object]:
+        """One ``/api/*`` request, answered by the coordinator."""
+        coordinator = self.coordinator
+        if method == "GET" and path == "/api/status":
+            return {**coordinator.status(), "url": self.url,
+                    "draining": self.draining}
+        if method == "GET" and path.startswith("/api/batch/"):
+            return coordinator.batch_status(path[len("/api/batch/"):])
+        handler = {
+            "/api/register": coordinator.handle_register,
+            "/api/lease": coordinator.handle_lease,
+            "/api/heartbeat": coordinator.handle_heartbeat,
+            "/api/fail": coordinator.handle_fail,
+            "/api/submit": coordinator.handle_submit,
+            "/api/complete": coordinator.handle_complete,
+            "/api/shutdown": self._shutdown,
+        }.get(path)
+        if handler is None:
+            raise HttpError(404, f"no route for {path}")
+        if method != "POST":
+            raise HttpError(405, f"{method} not allowed on {path}",
+                            {"Allow": "POST"})
+        payload = _json_object(body)
+        if path == "/api/submit":
+            self._refuse_if_draining()
+        if path in ("/api/submit", "/api/complete"):
+            # cache probe / cache write: disk I/O stays off the loop,
+            # and off the sweep pool too — a self-coordinated sweep
+            # holds a pool thread while it waits on its own batch
+            return await asyncio.to_thread(handler, payload)
+        return handler(payload)
+
+    def _shutdown(self, payload: Dict[str, object]) -> Dict[str, object]:
+        self.request_drain()
+        return {"ok": True}
+
+    def _refuse_if_draining(self) -> None:
+        if self.draining:
+            raise HttpError(503, "service is draining; resubmit later",
+                            {"Retry-After": str(DRAIN_RETRY_AFTER_S)})
+
     def _healthz(self) -> Dict[str, object]:
         return {
             "ok": True,
             "draining": self.draining,
             "uptime_s": round(time.time() - self.started_ts, 3),
             "active_jobs": self.queue.active,
+            "workers_alive": self.coordinator.table.workers_alive(),
+            "queue_depth": self.coordinator.table.queue_depth(),
         }
 
     def _metricz(self) -> Dict[str, object]:
@@ -287,6 +377,7 @@ class ServiceServer:
                 "queue": self.queue.stats(),
                 "limits": self.limiter.snapshot(),
             },
+            "cluster": self.coordinator.status(),
             "metrics": telemetry.metrics().flatten(),
         }
         payload.update(self.service.overview())
@@ -295,26 +386,31 @@ class ServiceServer:
     def _metricz_prom(self) -> str:
         """The same numbers as ``_metricz``, as Prometheus text."""
         stats = self.queue.stats()
+        fleet = self.coordinator.status()
         extra: Dict[str, float] = {
             "service.uptime_s": time.time() - self.started_ts,
             "service.draining": float(self.draining),
+            "cluster.workers_alive": float(fleet["workers_alive"]),  # type: ignore[arg-type]
+            "cluster.jobs_total": float(fleet["jobs"]["total"]),  # type: ignore[index]
         }
         for key, value in stats.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 extra[f"service.queue.{key}"] = float(value)
-        return prom.render_prometheus(telemetry.metrics().snapshot(),
-                                      extra_gauges=extra)
+        # the live coordinator is authoritative for cluster.*: cluster
+        # sweeps also fold its snapshots into the global registry
+        snapshot = telemetry.metrics().snapshot()
+        for section, values in fleet["metrics"].items():  # type: ignore[union-attr]
+            merged = {key: value for key, value
+                      in (snapshot.get(section) or {}).items()
+                      if not key.startswith("cluster.")}
+            merged.update(values)
+            snapshot[section] = merged
+        return prom.render_prometheus(snapshot, extra_gauges=extra)
 
     async def _submit(self, headers: Dict[str, str], body: bytes,
                       writer: asyncio.StreamWriter) -> None:
-        if self.draining:
-            raise HttpError(503, "service is draining; resubmit later",
-                            {"Retry-After": str(DRAIN_RETRY_AFTER_S)})
-        try:
-            payload = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise HttpError(400, f"request body is not JSON: {error}")
-        request = normalize_request(payload)
+        self._refuse_if_draining()
+        request = normalize_request(_json_object(body))
         tenant = headers.get("x-api-key", "").strip() or "anonymous"
         # Coalescing precedes admission: attaching to an existing job
         # consumes neither rate tokens nor quota.
@@ -413,6 +509,16 @@ class ServiceServer:
 # -- wire helpers -------------------------------------------------------
 
 
+def _json_object(body: bytes) -> Dict[str, object]:
+    try:
+        payload = json.loads(body.decode() or "{}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise HttpError(400, f"request body is not JSON: {error}")
+    if not isinstance(payload, dict):
+        raise HttpError(400, "request body must be a JSON object")
+    return payload
+
+
 async def _read_request(reader: asyncio.StreamReader,
                         ) -> Tuple[str, str, Dict[str, str], bytes]:
     """Parse one request: ``(method, target, lowercase headers, body)``."""
@@ -507,7 +613,7 @@ class BackgroundServer:
 
     @property
     def url(self) -> str:
-        return f"http://{self.server.host}:{self.server.port}"
+        return self.server.url
 
     def start(self) -> "BackgroundServer":
         self._thread = threading.Thread(target=self._run, daemon=True,

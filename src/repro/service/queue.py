@@ -10,7 +10,9 @@ Its three jobs:
   identical requests cost one simulation, and every subscriber gets the
   same job id (and therefore the same result and the same ledger
   entry). This mirrors the cluster coordinator's key-coalescing lease
-  table, one level up.
+  table, one level up — and stays a separate table: this one owns
+  sweep requests and their events, the lease table owns executor jobs
+  and their lease/steal/retry state.
 * **Bounded execution.** Sweeps are synchronous engine work, so they
   run on a dedicated thread pool of ``max_concurrency`` workers while
   the asyncio loop keeps serving reads. Jobs beyond the bound wait in
@@ -149,6 +151,9 @@ class JobQueue:
         self._idle = threading.Event()
         self._idle.set()
         self._idle_async: Optional[asyncio.Event] = None
+        #: Strong references to the running ``_run`` tasks (the loop
+        #: keeps only weak ones); a hard stop cancels and reaps them.
+        self._tasks: Set[asyncio.Task] = set()
         self._subscribers: Dict[SweepJob, Set[asyncio.Queue]] = {}
         self._global_subscribers: Set[asyncio.Queue] = set()
         #: Loop-thread callback fired once per job on completion; the
@@ -167,7 +172,13 @@ class JobQueue:
             max_workers=self.max_concurrency,
             thread_name_prefix="repro-service-sweep")
 
-    def shutdown(self) -> None:
+    async def shutdown(self) -> None:
+        """Cancel and reap unfinished job tasks, then release the pool
+        (a hard stop: drain first to let jobs finish)."""
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         if self._pool is not None:
             self._pool.shutdown(wait=False)  # type: ignore[attr-defined]
 
@@ -216,7 +227,9 @@ class JobQueue:
         if self._idle_async is not None:
             self._idle_async.clear()
         self.publish(job, {"event": "state", "state": "queued"})
-        self._loop.create_task(self._run(job))
+        task = self._loop.create_task(self._run(job))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
         return job, True
 
     def get(self, job_id: str) -> Optional[SweepJob]:

@@ -1,23 +1,23 @@
 """Tests for the distributed sweep backend (repro.cluster).
 
 Transport-free units first (retry policy, wire format, lease table),
-then in-process integration: a real coordinator over HTTP with thread
-workers, proving cluster rows and ledger views bit-identical to serial
-execution. Hard-failure chaos (SIGKILL, restarts) lives in
+then in-process integration: a real coordinator (the service's
+``/api/*`` routes) over HTTP with thread workers, proving cluster rows
+and ledger views bit-identical to serial execution. Hard-failure chaos (SIGKILL, restarts) lives in
 test_cluster_chaos.py.
 """
 
 import concurrent.futures
 import json
-import threading
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro import telemetry
 from repro.cluster import (
     ClusterClient,
-    ClusterWorker,
-    Coordinator,
     LeaseTable,
     RetryPolicy,
     decode_job,
@@ -25,10 +25,13 @@ from repro.cluster import (
 )
 from repro.config.defaults import baseline_config
 from repro.core import ExperimentJob, JobResult, ResultCache, SweepExecutor
+from repro.core import executor as executor_module
 from repro.core.experiment import WorkloadSpec, build_program
-from repro.errors import ClusterError, ConfigError
+from repro.errors import ClusterError, ClusterUnavailable, ConfigError
+from repro.service import SimulationService
 from repro.telemetry import RunLedger
 from repro.telemetry.ledger import deterministic_view
+from tests.fleet import coordinator_server, thread_worker
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 
@@ -278,18 +281,13 @@ class TestLeaseTable:
 
 @pytest.fixture()
 def fleet(tmp_path):
-    """A live coordinator + one thread worker over real HTTP."""
+    """A live coordinator + one thread worker over real HTTP:
+    yields ``(url, coordinator, cache)``."""
     cache = ResultCache(tmp_path / "shared-cache")
-    coordinator = Coordinator(bind="127.0.0.1:0", cache=cache,
-                              lease_timeout_s=10.0,
-                              poll_interval_s=0.02).start()
-    worker = ClusterWorker(coordinator.url, name="t1", cache=cache)
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
-    yield coordinator, cache
-    worker.stop()
-    coordinator.stop(drain=True)
-    thread.join(timeout=5.0)
+    with coordinator_server(cache, lease_timeout_s=10.0,
+                            poll_interval_s=0.02) as (url, coordinator):
+        with thread_worker(url, "t1", cache):
+            yield url, coordinator, cache
 
 
 class TestClusterExecutor:
@@ -300,10 +298,9 @@ class TestClusterExecutor:
         return executor.run(_jobs()), executor.last_entry
 
     def test_rows_and_ledger_match_serial(self, fleet, tmp_path):
-        coordinator, cache = fleet
+        url, _coordinator, cache = fleet
         executor = SweepExecutor(
-            jobs=1, cache=cache, backend="cluster",
-            coordinator_url=coordinator.url,
+            jobs=1, cache=cache, backend="cluster", coordinator_url=url,
             ledger=RunLedger(tmp_path / "cluster-ledger.jsonl"))
         results = executor.run(_jobs())
         serial_results, serial_entry = self._serial_entry(tmp_path)
@@ -317,28 +314,25 @@ class TestClusterExecutor:
         assert cluster["unfinished"] == 0
 
     def test_remote_results_fill_shared_cache(self, fleet, tmp_path):
-        coordinator, cache = fleet
+        url, coordinator, cache = fleet
         executor = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                                 coordinator_url=coordinator.url,
-                                 ledger=None)
+                                 coordinator_url=url, ledger=None)
         executor.run(_jobs())
         assert executor.cache_misses == len(_jobs())
         # second sweep: resolved from the cache at submit time, so the
         # coordinator enqueues nothing and no simulator runs anywhere
-        from repro.core import executor as executor_module
         before = executor_module.simulation_calls()
         rerun = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                              coordinator_url=coordinator.url, ledger=None)
+                              coordinator_url=url, ledger=None)
         rerun.run(_jobs())
         assert rerun.cache_hits == len(_jobs())
         assert executor_module.simulation_calls() == before
         assert coordinator.table.queue_depth() == 0
 
     def test_uncacheable_jobs_run_locally(self, fleet, tmp_path):
-        coordinator, cache = fleet
+        url, coordinator, cache = fleet
         executor = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                                 coordinator_url=coordinator.url,
-                                 ledger=None)
+                                 coordinator_url=url, ledger=None)
         raw = ExperimentJob(build_program(SPEC), baseline_config(), "fast")
         mixed = _jobs() + [raw]
         results = executor.run(mixed)
@@ -350,17 +344,13 @@ class TestClusterExecutor:
 
     def test_no_workers_degrades_to_local(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CLUSTER_GRACE_S", "0.2")
-        coordinator = Coordinator(bind="127.0.0.1:0", cache=None).start()
-        try:
+        with coordinator_server(None) as (url, _coordinator):
             executor = SweepExecutor(
                 jobs=1, cache=ResultCache(tmp_path / "cache"),
-                backend="cluster", coordinator_url=coordinator.url,
-                ledger=None)
+                backend="cluster", coordinator_url=url, ledger=None)
             results = executor.run(_jobs())
             assert [r.instructions > 0 for r in results]
             assert executor.last_cluster is None  # the sweep ran locally
-        finally:
-            coordinator.stop()
 
     def test_unreachable_coordinator_degrades_to_local(self, tmp_path):
         executor = SweepExecutor(
@@ -372,26 +362,31 @@ class TestClusterExecutor:
     def test_transient_worker_failures_are_retried(self, tmp_path):
         from repro.cluster import ChaosHooks
         cache = ResultCache(tmp_path / "cache")
-        coordinator = Coordinator(
-            bind="127.0.0.1:0", cache=cache, poll_interval_s=0.02,
-            policy=RetryPolicy(max_attempts=4, base_delay_s=0.01,
-                               max_delay_s=0.05)).start()
-        worker = ClusterWorker(coordinator.url, name="flaky", cache=cache,
-                               chaos=ChaosHooks(fail_first=2))
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        try:
+        policy = RetryPolicy(max_attempts=4, base_delay_s=0.01,
+                             max_delay_s=0.05)
+        with coordinator_server(cache, poll_interval_s=0.02,
+                                policy=policy) as (url, coordinator), \
+                thread_worker(url, "flaky", cache,
+                              chaos=ChaosHooks(fail_first=2)):
             executor = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                                     coordinator_url=coordinator.url,
-                                     ledger=None)
+                                     coordinator_url=url, ledger=None)
             results = executor.run(_jobs())
             assert all(r.instructions > 0 for r in results)
             assert coordinator.table.counts["retries"] == 2
             assert coordinator.table.counts["completed"] == len(_jobs())
-        finally:
-            worker.stop()
-            coordinator.stop(drain=True)
-            thread.join(timeout=5.0)
+
+    def test_no_coordinator_url_degrades_at_once(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.delenv("REPRO_COORDINATOR", raising=False)
+        monkeypatch.setenv("REPRO_CLUSTER_GRACE_S", "30")
+        executor = SweepExecutor(
+            jobs=1, cache=ResultCache(tmp_path / "cache"), backend="cluster",
+            ledger=None)
+        started = time.monotonic()
+        results = executor.run(_jobs(sizes=(8,)))
+        assert results[0].instructions > 0
+        assert executor.last_cluster is None
+        assert time.monotonic() - started < 30  # never waited out a grace
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ConfigError):
@@ -472,27 +467,42 @@ class TestBrokenPoolRetry:
 
 class TestClusterCli:
     def test_status_against_live_coordinator(self, fleet, capsys):
-        coordinator, _ = fleet
+        url, _coordinator, _cache = fleet
         from repro.cli import main as cli_main
-        assert cli_main(["cluster", "status",
-                         "--coordinator", coordinator.url]) == 0
+        assert cli_main(["cluster", "status", "--coordinator", url]) == 0
         out = capsys.readouterr().out
         assert "workers alive" in out
+        assert url in out
+
+    def test_status_prom_carries_cluster_samples(self, fleet, capsys):
+        url, _coordinator, _cache = fleet
+        from repro.cli import main as cli_main
+        from repro.obs import prom
+        assert cli_main(["cluster", "status", "--coordinator", url,
+                         "--prom"]) == 0
+        text = capsys.readouterr().out
+        assert prom.validate(text) > 0
+        assert "\nrepro_cluster_" in text
 
     def test_submit_through_external_coordinator(self, fleet, tmp_path,
                                                  monkeypatch, capsys):
-        coordinator, _ = fleet
+        url, coordinator, _cache = fleet
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
+        monkeypatch.setenv("REPRO_COORDINATOR", url)
         from repro.cli import main as cli_main
         out = tmp_path / "submit.json"
         assert cli_main([
-            "cluster", "submit", "--coordinator", coordinator.url,
-            "--names", "li", "--scale", "0.05", "--sizes", "1", "8",
-            "--json", str(out),
+            "stack-depth", "--backend", "cluster",
+            "--names", "li", "--scale", "0.05", "--json", str(out),
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["rows"][0][0] == "li"
-        assert payload["cache"]["misses"] == 2
+        misses = payload["cache"]["misses"]
+        assert misses > 0
+        assert coordinator.table.counts["completed"] == misses
+        entry = RunLedger(tmp_path / "cli-cache" / "ledger.jsonl").entries()[-1]
+        assert entry["cluster"]["coordinator"] == url
+        assert entry["cluster"]["workers"]["t1"]["jobs"] == misses
 
     def test_backend_flag_falls_back_without_fleet(self, tmp_path,
                                                    monkeypatch):
@@ -501,3 +511,132 @@ class TestClusterCli:
         from repro.cli import main as cli_main
         assert cli_main(["stack-depth", "--names", "li", "--scale", "0.05",
                          "--backend", "cluster"]) == 0
+
+
+# -- one server: the service is the coordinator -------------------------
+
+STACK_DEPTH = {"sweep": "stack-depth", "names": ["li"], "scale": 0.05,
+               "sizes": [1, 8]}
+
+
+def _post(url, payload):
+    """POST JSON; returns ``(status, decoded body)``."""
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode(), method="POST")
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, json.load(response)
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code, json.load(error)
+
+
+def _get(url):
+    with urllib.request.urlopen(url) as response:
+        return json.load(response)
+
+
+def _until(call, accept, timeout_s=60.0):
+    """Repeat ``call()`` until ``accept(reply)``; returns the reply."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        reply = call()
+        if accept(reply):
+            return reply
+        time.sleep(0.02)
+    raise AssertionError(f"no accepted reply within {timeout_s}s")
+
+
+def _wait_done(url, job):
+    return _until(lambda: _get(f"{url}/v1/sweeps/{job}"),
+                  lambda d: d["state"] in ("done", "failed"))
+
+
+class TestOneServer:
+    def test_one_port_serves_sweeps_and_leases(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with coordinator_server(cache, poll_interval_s=0.02) as (url, _):
+            status, submitted = _post(url + "/v1/sweeps", STACK_DEPTH)
+            assert status == 202
+            client = ClusterClient(url)
+            worker_id = str(client.register("probe")["worker_id"])
+            assert client.lease(worker_id)["status"] == "idle"
+            assert _wait_done(url, submitted["job"])["state"] == "done"
+            health = _get(url + "/healthz")
+            assert health["workers_alive"] == 1
+            assert health["queue_depth"] == 0
+            metricz = _get(url + "/metricz")
+            assert metricz["cluster"]["counts"]["registrations"] == 1
+            assert metricz["service"]["queue"]["executed"] == 1
+
+    def test_self_coordinated_sweep_runs_on_attached_worker(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        service = SimulationService(cache=cache, jobs=1, backend="cluster")
+        with coordinator_server(cache, service=service,
+                                poll_interval_s=0.02) as (url, coordinator), \
+                thread_worker(url, "attached", cache) as worker:
+            _status, submitted = _post(url + "/v1/sweeps", STACK_DEPTH)
+            descriptor = _wait_done(url, submitted["job"])
+        assert descriptor["state"] == "done"
+        assert service.coordinator_url == url
+        assert worker.stats["jobs"] > 0
+        assert coordinator.table.counts["completed"] == worker.stats["jobs"]
+        entry = RunLedger(cache.ledger_path).entries()[-1]
+        assert entry["cluster"]["coordinator"] == url
+        assert entry["cluster"]["unfinished"] == 0
+        serial = SimulationService(cache=ResultCache(tmp_path / "serial"),
+                                   jobs=1)
+        from repro.service import normalize_request
+        outcome = serial.run_sweep(normalize_request(STACK_DEPTH))
+        assert descriptor["result"]["rows"] == outcome.rows
+
+    def test_api_shutdown_drains_but_keeps_leasing(self, tmp_path):
+        from repro.cluster import Coordinator
+        from repro.service import BackgroundServer, ServiceServer
+
+        cache = ResultCache(tmp_path / "cache")
+        service = SimulationService(cache=cache, jobs=1, backend="cluster")
+        server = ServiceServer(service, port=0, coordinator=Coordinator(
+            cache=cache, poll_interval_s=0.02))
+        background = BackgroundServer(server).start()
+        try:
+            url = background.url
+            client = ClusterClient(url)
+            worker_id = str(client.register("manual")["worker_id"])
+            status, submitted = _post(url + "/v1/sweeps", STACK_DEPTH)
+            assert status == 202
+            grant = _until(lambda: client.lease(worker_id),
+                           lambda reply: reply["status"] == "job")
+            assert client.shutdown() == {"ok": True}
+            # drain: no new sweeps and no new batches ...
+            status, body = _post(url + "/v1/sweeps",
+                                 dict(STACK_DEPTH, seed=2))
+            assert status == 503 and "draining" in body["error"]
+            status, _body = _post(url + "/api/submit", {"jobs": []})
+            assert status == 503
+            with pytest.raises(ClusterUnavailable):
+                client.submit(_jobs(sizes=(4,)))
+            # ... but leasing goes on while the queue still has work
+            completed = 0
+            reply = grant
+            while reply["status"] != "shutdown":
+                if reply["status"] == "job":
+                    result = executor_module.run_job(
+                        decode_job(reply["job"]))
+                    verdict = client.complete(
+                        worker_id, str(reply["lease_id"]),
+                        str(reply["key"]), result)
+                    assert verdict["accepted"]
+                    completed += 1
+                else:
+                    time.sleep(0.02)
+                reply = client.lease(worker_id)
+            assert completed >= 1
+            background.join(timeout=30)
+        finally:
+            background.stop()
+        job = server.queue.get(submitted["job"])
+        assert job is not None and job.state == "done"
+        entry = RunLedger(cache.ledger_path).entries()[-1]
+        assert entry["cluster"]["unfinished"] == 0
+        assert entry["cluster"]["workers"]["manual"]["jobs"] == completed

@@ -1,7 +1,8 @@
 """Chaos tests: the cluster's failure matrix exercised for real.
 
 Unlike test_cluster.py these tests kill actual worker *processes*
-(SIGKILL, no cleanup), restart coordinators, and let leases expire on
+(SIGKILL, no cleanup), restart coordinators (service processes'
+``/api/*`` routes), and let leases expire on
 the wall clock — the robustness claims of docs/distributed.md §4
 verified end to end. Timings are chosen so each test stays under a few
 seconds: tiny workloads (scale 0.05), sub-second lease timeouts.
@@ -17,19 +18,14 @@ import time
 import pytest
 
 import repro
-from repro.cluster import (
-    ClusterClient,
-    ClusterWorker,
-    Coordinator,
-    RetryPolicy,
-    decode_result,
-)
+from repro.cluster import ClusterClient, ClusterWorker, decode_result
 from repro.config.defaults import baseline_config
 from repro.core import ExperimentJob, ResultCache, SweepExecutor
 from repro.core import executor as executor_module
 from repro.core.experiment import WorkloadSpec
 from repro.telemetry import RunLedger
 from repro.telemetry.ledger import deterministic_view
+from tests.fleet import coordinator_server, thread_worker
 
 pytestmark = pytest.mark.skipif(sys.platform == "win32",
                                 reason="SIGKILL chaos needs POSIX")
@@ -69,68 +65,57 @@ class TestWorkerKilledMidJob:
     def test_jobs_requeued_and_rows_identical_to_serial(self, tmp_path):
         cache_dir = tmp_path / "shared-cache"
         cache = ResultCache(cache_dir)
-        coordinator = Coordinator(bind="127.0.0.1:0", cache=cache,
-                                  lease_timeout_s=0.8,
-                                  poll_interval_s=0.02).start()
-        # the doomed worker registers first and SIGKILLs itself inside
-        # its first leased job: its lease must expire and be stolen
-        doomed = _spawn_worker(coordinator.url, cache_dir, "doomed",
-                               {"REPRO_CHAOS_KILL_MIDJOB": "1"})
-        assert _wait(lambda: coordinator.table.counts["registrations"] >= 1)
-        # the rescuer joins shortly after the sweep starts, once the
-        # doomed worker has certainly leased (poll interval 0.02s)
-        rescuer = ClusterWorker(coordinator.url, name="rescuer", cache=cache)
-        rescue_thread = threading.Timer(
-            0.4, lambda: threading.Thread(target=rescuer.run,
-                                          daemon=True).start())
-        rescue_thread.start()
-        try:
-            executor = SweepExecutor(
-                jobs=1, cache=cache, backend="cluster",
-                coordinator_url=coordinator.url,
-                ledger=RunLedger(tmp_path / "cluster-ledger.jsonl"))
-            results = executor.run(_jobs())
-            assert doomed.wait(timeout=10) == -9  # SIGKILLed itself
-            serial = SweepExecutor(
-                jobs=1, cache=ResultCache(tmp_path / "serial-cache"),
-                ledger=RunLedger(tmp_path / "serial-ledger.jsonl"))
-            serial_results = serial.run(_jobs())
-            assert [r.as_dict() for r in results] \
-                == [r.as_dict() for r in serial_results]
-            assert deterministic_view(executor.last_entry) \
-                == deterministic_view(serial.last_entry)
-            cluster = executor.last_entry["cluster"]
-            assert cluster["counts"]["steals"] >= 1  # observably re-queued
-            assert cluster["counts"]["completed"] == len(_jobs())
-            assert cluster["unfinished"] == 0
-        finally:
-            rescue_thread.cancel()
-            rescuer.stop()
-            if doomed.poll() is None:
-                doomed.kill()
-            coordinator.stop(drain=True)
+        with coordinator_server(cache, lease_timeout_s=0.8,
+                                poll_interval_s=0.02) as (url, coordinator):
+            # the doomed worker registers first and SIGKILLs itself inside
+            # its first leased job: its lease must expire and be stolen
+            doomed = _spawn_worker(url, cache_dir, "doomed",
+                                   {"REPRO_CHAOS_KILL_MIDJOB": "1"})
+            assert _wait(lambda: coordinator.table.counts["registrations"] >= 1)
+            # the rescuer joins shortly after the sweep starts, once the
+            # doomed worker has certainly leased (poll interval 0.02s)
+            rescuer = ClusterWorker(url, name="rescuer", cache=cache)
+            rescue_thread = threading.Timer(
+                0.4, lambda: threading.Thread(target=rescuer.run,
+                                              daemon=True).start())
+            rescue_thread.start()
+            try:
+                executor = SweepExecutor(
+                    jobs=1, cache=cache, backend="cluster", coordinator_url=url,
+                    ledger=RunLedger(tmp_path / "cluster-ledger.jsonl"))
+                results = executor.run(_jobs())
+                assert doomed.wait(timeout=10) == -9  # SIGKILLed itself
+                serial = SweepExecutor(
+                    jobs=1, cache=ResultCache(tmp_path / "serial-cache"),
+                    ledger=RunLedger(tmp_path / "serial-ledger.jsonl"))
+                serial_results = serial.run(_jobs())
+                assert [r.as_dict() for r in results] \
+                    == [r.as_dict() for r in serial_results]
+                assert deterministic_view(executor.last_entry) \
+                    == deterministic_view(serial.last_entry)
+                cluster = executor.last_entry["cluster"]
+                assert cluster["counts"]["steals"] >= 1  # observably re-queued
+                assert cluster["counts"]["completed"] == len(_jobs())
+                assert cluster["unfinished"] == 0
+            finally:
+                rescue_thread.cancel()
+                rescuer.stop()
+                if doomed.poll() is None:
+                    doomed.kill()
+                    doomed.wait()
 
 
 class TestCoordinatorRestart:
     def test_finished_work_rebuilt_from_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        first = Coordinator(bind="127.0.0.1:0", cache=cache,
-                            poll_interval_s=0.02).start()
-        worker = ClusterWorker(first.url, name="w", cache=cache)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        try:
+        # leaving the block is the "crash": all lease state is gone
+        with coordinator_server(cache, poll_interval_s=0.02) as (url, _), \
+                thread_worker(url, "w", cache):
             executor = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                                     coordinator_url=first.url, ledger=None)
+                                     coordinator_url=url, ledger=None)
             before_results = executor.run(_jobs())
-        finally:
-            worker.stop()
-            first.stop(drain=True)  # the "crash": all lease state is gone
-            thread.join(timeout=5.0)
-        second = Coordinator(bind="127.0.0.1:0", cache=cache,
-                             poll_interval_s=0.02).start()
-        try:
-            client = ClusterClient(second.url)
+        with coordinator_server(cache, poll_interval_s=0.02) as (url, second):
+            client = ClusterClient(url)
             before = executor_module.simulation_calls()
             submitted = client.submit(_jobs())
             # every key resolves from the shared cache at submit time:
@@ -144,8 +129,6 @@ class TestCoordinatorRestart:
                 == [r.as_dict() for r in before_results]
             assert executor_module.simulation_calls() == before
             assert second.table.counts.get("leases", 0) == 0
-        finally:
-            second.stop()
 
 
 class TestSlowWorkerSteal:
@@ -153,11 +136,9 @@ class TestSlowWorkerSteal:
         """Protocol-level slow worker: leases, goes silent past the
         lease timeout (no heartbeat), then completes late."""
         cache = ResultCache(tmp_path / "cache")
-        coordinator = Coordinator(bind="127.0.0.1:0", cache=cache,
-                                  lease_timeout_s=0.2,
-                                  poll_interval_s=0.02).start()
-        try:
-            client = ClusterClient(coordinator.url)
+        with coordinator_server(cache, lease_timeout_s=0.2,
+                                poll_interval_s=0.02) as (url, coordinator):
+            client = ClusterClient(url)
             slow = str(client.register("slow")["worker_id"])
             fast = str(client.register("fast")["worker_id"])
             client.submit(_jobs(sizes=(8,)))
@@ -177,8 +158,6 @@ class TestSlowWorkerSteal:
             assert not late["accepted"] and late["duplicate"]
             assert coordinator.table.counts["completed"] == 1
             assert coordinator.table.counts["duplicates"] == 1
-        finally:
-            coordinator.stop()
 
 
 class TestWorkerHeartbeatKeepsSlowJobs:
@@ -191,23 +170,14 @@ class TestWorkerHeartbeatKeepsSlowJobs:
         # the sleep is several lease timeouts long, and the heartbeat
         # renews at a third of the timeout: generous margins so a busy
         # CI machine cannot turn a live worker into a stolen lease
-        coordinator = Coordinator(bind="127.0.0.1:0", cache=cache,
-                                  lease_timeout_s=1.5,
-                                  poll_interval_s=0.02).start()
-        worker = ClusterWorker(coordinator.url, name="slowpoke", cache=cache,
-                               chaos=ChaosHooks(slow_s=3.5))
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        try:
+        with coordinator_server(cache, lease_timeout_s=1.5,
+                                poll_interval_s=0.02) as (url, coordinator), \
+                thread_worker(url, "slowpoke", cache,
+                              chaos=ChaosHooks(slow_s=3.5)) as worker:
             executor = SweepExecutor(jobs=1, cache=cache, backend="cluster",
-                                     coordinator_url=coordinator.url,
-                                     ledger=None)
+                                     coordinator_url=url, ledger=None)
             results = executor.run(_jobs(sizes=(8,)))
             assert results[0].instructions > 0
             assert coordinator.table.counts["steals"] == 0
             assert coordinator.table.counts["completed"] == 1
             assert worker.stats["lost_leases"] == 0
-        finally:
-            worker.stop()
-            coordinator.stop(drain=True)
-            thread.join(timeout=5.0)

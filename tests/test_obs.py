@@ -231,7 +231,7 @@ class TestCapture:
         item = {"name": "dup", "trace_id": capture.trace_id,
                 "span_id": "ab" * 8, "ts": 1.0, "ms": 1.0}
         assert capture.add_spans([item]) == 1
-        assert capture.add_spans([item]) == 0   # embedded-coordinator echo
+        assert capture.add_spans([item]) == 0   # self-coordinated echo
         capture.close()
         assert len(store.load(capture.trace_id)) == 1
 
@@ -441,26 +441,17 @@ class TestDeterminism:
 class TestClusterTrace:
     def test_cluster_run_matches_serial_and_merges_worker_spans(
             self, tmp_path):
-        from repro.cluster import ClusterWorker, Coordinator
+        from tests.fleet import coordinator_server, thread_worker
 
         cache = ResultCache(tmp_path / "shared-cache")
-        coordinator = Coordinator(bind="127.0.0.1:0", cache=cache,
-                                  lease_timeout_s=10.0,
-                                  poll_interval_s=0.02).start()
-        worker = ClusterWorker(coordinator.url, name="t1", cache=cache)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        try:
+        with coordinator_server(cache, lease_timeout_s=10.0,
+                                poll_interval_s=0.02) as (url, _), \
+                thread_worker(url, "t1", cache):
             executor = SweepExecutor(
-                jobs=1, cache=cache, backend="cluster",
-                coordinator_url=coordinator.url,
+                jobs=1, cache=cache, backend="cluster", coordinator_url=url,
                 ledger=RunLedger(tmp_path / "cluster-ledger.jsonl"))
             results = [r.as_dict() for r in executor.run(_jobs())]
             entry = executor.last_entry
-        finally:
-            worker.stop()
-            coordinator.stop(drain=True)
-            thread.join(timeout=5.0)
         serial = SweepExecutor(
             jobs=1, cache=ResultCache(tmp_path / "serial-cache"),
             ledger=RunLedger(tmp_path / "serial-ledger.jsonl"))

@@ -253,7 +253,8 @@ def _post(url, payload, headers=None):
             return response.status, json.load(response), dict(
                 response.headers)
     except urllib.error.HTTPError as error:
-        return error.code, json.load(error), dict(error.headers)
+        with error:
+            return error.code, json.load(error), dict(error.headers)
 
 
 def _get(url):
@@ -404,12 +405,14 @@ class TestServiceEndToEnd:
 
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(f"{bg.url}/v1/runs/ffffffffffff")
+            excinfo.value.close()
             assert excinfo.value.code == 404
 
     def test_unknown_route_404_wrong_method_405(self, tmp_path):
         with BackgroundServer(_server(tmp_path)) as bg:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(bg.url + "/v2/nope")
+            excinfo.value.close()
             assert excinfo.value.code == 404
             status, _body, _headers = _post(bg.url + "/healthz", {})
             assert status == 405
@@ -442,6 +445,18 @@ class TestServiceEndToEnd:
             assert len(ledger.entries()) == 1
         finally:
             bg.stop()
+
+    def test_stop_reaps_inflight_job_task(self, tmp_path):
+        import asyncio
+
+        bg = BackgroundServer(_server(tmp_path, slow_s=2.0)).start()
+        status, _body, _headers = _post(bg.url + "/v1/sweeps", REQUEST)
+        assert status == 202
+        bg.stop()  # a hard stop, mid-job: no drain
+        pending = [task for task in asyncio.all_tasks(bg._loop)
+                   if task.get_coro().__qualname__ == "JobQueue._run"]
+        assert pending == []
+        assert not bg.server.queue._tasks
 
 
 # -- process-level: repro-sim serve under SIGTERM -----------------------
@@ -487,6 +502,7 @@ class TestServeProcess:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+            process.stderr.close()
 
 
 # -- the CLI rides the same service core --------------------------------
