@@ -755,7 +755,7 @@ def _bench_command(args: argparse.Namespace) -> int:
 def _trace_resolve(ref: str, store) -> Optional[str]:
     """A trace id from a raw id, a run-id prefix, or a ledger index."""
     from repro.errors import ReproError
-    from repro.obs.store import valid_trace_id
+    from repro.telemetry.spans import valid_trace_id
 
     if valid_trace_id(ref):
         try:
@@ -780,7 +780,7 @@ def _trace_command(args: argparse.Namespace) -> int:
         rows = []
         for trace_id in store.trace_ids()[:max(1, args.limit)]:
             rollup = analysis.summarize(store.load(trace_id))
-            rows.append([trace_id[:16], rollup["spans"],
+            rows.append([trace_id, rollup["spans"],
                          rollup["processes"], rollup["wall_ms"]])
         if not rows:
             print(f"no traces recorded under {store.root}", file=sys.stderr)
@@ -790,8 +790,8 @@ def _trace_command(args: argparse.Namespace) -> int:
         return 0
     trace_id = _trace_resolve(args.ref, store)
     if trace_id is None:
-        print(f"repro-sim trace: no trace for {args.ref!r} (is tracing "
-              f"on? REPRO_TRACE=0 disables it)", file=sys.stderr)
+        print(f"repro-sim trace: no trace for {args.ref!r}",
+              file=sys.stderr)
         return 1
     if args.trace_command == "flame":
         from repro.obs.profile import render_flame

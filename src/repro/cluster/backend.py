@@ -33,8 +33,8 @@ from repro import telemetry
 from repro.cluster.protocol import ClusterClient, decode_result
 from repro.core.executor import ExperimentJob, JobResult, ResultCache
 from repro.errors import ClusterUnavailable
-from repro.obs import context as tracectx
 from repro.telemetry import span
+from repro.telemetry import spans as tracing
 
 DEFAULT_GRACE_S = 5.0
 
@@ -138,10 +138,10 @@ def run_jobs_on_cluster(
             # capture, around the cluster/batch span above) rides
             # the submit payload so coordinator and worker spans
             # join this sweep's trace
-            ctx = tracectx.current()
+            ctx = tracing.current()
             submitted = client.submit(
                 [jobs[i] for i in keyed],
-                trace=tracectx.to_wire(ctx) if ctx is not None else None)
+                trace=tracing.to_wire(ctx) if ctx is not None else None)
             batch_id = str(submitted["batch_id"])
             status = _poll_batch(client, batch_id, grace)
             raw_results = status.get("results") or [None] * len(keyed)

@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.cluster.leases import LeaseTable
-from repro.obs import context as tracectx
 from repro.cluster.protocol import (
     DEFAULT_LEASE_TIMEOUT_S,
     DEFAULT_POLL_INTERVAL_S,
@@ -48,7 +47,11 @@ from repro.cluster.retry import RetryPolicy
 from repro.core.executor import ResultCache
 from repro.errors import ClusterError
 from repro.telemetry import MetricsRegistry, span
-from repro.telemetry.spans import recorder
+from repro.telemetry import spans as tracing
+
+#: Batches whose coordinator spans are collected at once; past this
+#: the oldest collector (a batch its submitter gave up polling) closes.
+MAX_COLLECTING_BATCHES = 256
 
 
 class Coordinator:
@@ -71,6 +74,9 @@ class Coordinator:
         #: Worker ids that have been told to shut down.
         self.told: Set[str] = set()
         self._peaks = {"queue_depth": 0, "active_leases": 0, "workers": 0}
+        #: Per traced batch, its coordinator spans until the final
+        #: ``batch_status`` reports them.
+        self._collectors: Dict[str, tracing.Collector] = {}
 
     def fleet_told(self) -> bool:
         """Whether every live worker has heard ``shutdown``."""
@@ -106,14 +112,9 @@ class Coordinator:
         us which trace the touched job belongs to, so the identity is
         stamped after the fact — the span has not been recorded yet.
         """
-        if sp is None or not isinstance(trace, dict):
-            return
-        ctx = tracectx.from_wire(trace)
-        if ctx is None:
-            return
-        sp.trace_id = ctx.trace_id
-        sp.span_id = tracectx.new_span_id()
-        sp.parent_id = ctx.span_id or None
+        ctx = tracing.from_wire(trace)
+        if sp is not None and ctx is not None:
+            sp.adopt(ctx)
 
     def handle_lease(self, payload: Dict[str, object]) -> Dict[str, object]:
         worker_id = str(payload.get("worker_id", ""))
@@ -174,13 +175,18 @@ class Coordinator:
         if not isinstance(jobs, list):
             raise ClusterError("submit: missing jobs list")
         trace_wire = payload.get("trace")
-        trace_ctx = (tracectx.from_wire(trace_wire)
-                     if isinstance(trace_wire, dict) else None)
-        keys = []
+        trace_ctx = tracing.from_wire(trace_wire)
         # the submitter's context makes the coordinator's own spans
-        # (submit, and the cache probes inside) part of the sweep trace
-        with tracectx.activate(trace_ctx):
-            with span("cluster/submit", jobs=len(jobs)):
+        # (submit and the cache probes inside, then the batch's leases
+        # and completions) part of the sweep trace
+        collector = (tracing.Collector(
+            trace_ctx.trace_id,
+            limit=tracing.MAX_SPANS_PER_JOB * max(1, len(jobs)))
+            if trace_ctx is not None else None)
+        keys = []
+        try:
+            with tracing.activate(trace_ctx), \
+                    span("cluster/submit", jobs=len(jobs)):
                 for encoded in jobs:
                     job = decode_job(encoded)
                     key = job.cache_key()
@@ -198,6 +204,14 @@ class Coordinator:
                 batch_id, stats = self.table.submit(
                     jobs, keys, cached,
                     trace=trace_wire if trace_ctx is not None else None)
+        except BaseException:
+            if collector is not None:
+                collector.close()
+            raise
+        if collector is not None:
+            self._collectors[batch_id] = collector
+            while len(self._collectors) > MAX_COLLECTING_BATCHES:
+                self._collectors.pop(next(iter(self._collectors))).close()
         self._track_peaks()
         return {"batch_id": batch_id, "submitted": len(jobs), **stats}
 
@@ -206,17 +220,14 @@ class Coordinator:
     def batch_status(self, batch_id: str) -> Dict[str, object]:
         status = self.table.batch_status(batch_id)
         status["workers_alive"] = self.table.workers_alive()
-        if status.get("done") and isinstance(status.get("trace"), dict):
+        collector = (self._collectors.pop(batch_id, None)
+                     if status.get("done") else None)
+        if collector is not None:
             # piggyback the coordinator's own spans for this trace on
             # the final poll, so the submitter's merged trace covers
-            # submit/lease/complete scheduling time too
-            ctx = tracectx.from_wire(status["trace"])
-            if ctx is not None:
-                own = [item.to_json_dict() for item in recorder.records()
-                       if item.trace_id == ctx.trace_id]
-                merged = status.get("spans")
-                status["spans"] = (merged if isinstance(merged, list)
-                                   else []) + own
+            # submit/lease/complete scheduling time too; once reported
+            # they are dropped
+            status["spans"] = status.get("spans", []) + collector.close()
         return status
 
     def metrics_snapshot(self) -> Dict[str, object]:

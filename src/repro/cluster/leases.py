@@ -42,13 +42,10 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.retry import RetryPolicy
 from repro.cluster.protocol import DEFAULT_LEASE_TIMEOUT_S
 from repro.errors import ClusterError
+from repro.telemetry.spans import MAX_SPANS_PER_JOB
 
 #: Job lifecycle states.
 PENDING, LEASED, DONE, FAILED = "pending", "leased", "done", "failed"
-
-#: Cap on the span batch one ``complete`` may attach — a runaway worker
-#: cannot balloon coordinator memory; overflow is counted, not fatal.
-MAX_SPANS_PER_JOB = 512
 
 
 class JobRecord:
@@ -71,8 +68,8 @@ class JobRecord:
         self.result: Optional[Dict[str, object]] = None
         self.error: Optional[str] = None
         self.from_cache = False    # resolved by the coordinator's cache
-        #: Wire-form trace context the submitter attached (repro.obs),
-        #: handed to workers with the lease grant.
+        #: Wire-form trace context the submitter attached, handed to
+        #: workers with the lease grant.
         self.trace: Optional[Dict[str, object]] = None
         #: Span batch the completing worker shipped back.
         self.spans: Optional[List[Dict[str, object]]] = None
@@ -311,8 +308,9 @@ class LeaseTable:
         chaos tests); anything else is accepted — even when the lease
         was stolen meanwhile, because an identical deterministic result
         arriving early is a win, not a conflict. ``spans`` is the
-        worker's span batch for the job (repro.obs): it rides on the
-        accepted record, capped at :data:`MAX_SPANS_PER_JOB`, and is
+        worker's span batch for the job: it rides on the accepted
+        record, capped at :data:`MAX_SPANS_PER_JOB` (a runaway worker
+        cannot balloon coordinator memory; overflow is counted), and is
         dropped with a duplicate/rejected completion so a late or
         stolen-lease worker can never pollute a merged trace.
         """

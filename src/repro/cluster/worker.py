@@ -40,14 +40,12 @@ import threading
 import time
 from typing import Dict, Optional, Union
 
-from repro.cluster.leases import MAX_SPANS_PER_JOB
 from repro.cluster.protocol import ClusterClient, decode_job
 from repro.cluster.retry import RetryPolicy
 from repro.core.executor import ResultCache, run_job
 from repro.errors import ClusterError, ClusterUnavailable
-from repro.obs import context as tracectx
 from repro.telemetry import span
-from repro.telemetry.spans import Span, recorder
+from repro.telemetry import spans as tracing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,19 +201,11 @@ class ClusterWorker:
         # complete payload home; a SIGKILLed worker simply never sends
         # its batch — partial spans die with the process, the merged
         # trace stays clean
-        ctx = tracectx.from_wire(grant.get("trace"))
-        collected: list = []
-        token: Optional[int] = None
-        if ctx is not None:
-
-            def _collect(item: Span) -> None:
-                if (item.trace_id == ctx.trace_id
-                        and len(collected) < MAX_SPANS_PER_JOB):
-                    collected.append(item.to_json_dict())
-
-            token = recorder.subscribe(_collect)
+        ctx = tracing.from_wire(grant.get("trace"))
+        collector = (tracing.Collector(ctx.trace_id) if ctx is not None
+                     else None)
         try:
-            with tracectx.activate(ctx):
+            with tracing.activate(ctx):
                 with span("cluster/job", key=key[:12], worker=self.name):
                     cached = self.cache.get(key) if self.cache is not None \
                         else None
@@ -244,8 +234,7 @@ class ClusterWorker:
                 f"{type(error).__name__}: {error}"))
             return
         finally:
-            if token is not None:
-                recorder.unsubscribe(token)
+            collected = collector.close() if collector is not None else []
             with self._lease_lock:
                 self._active_lease = None
         self._call_safely(lambda: self.client.complete(

@@ -70,13 +70,12 @@ from repro.core.experiment import (
 from repro.errors import ClusterUnavailable, ConfigError
 from repro.fastsim.batch import replay_shard_batched
 from repro.isa.program import Program
-from repro.obs import context as tracectx
 from repro.obs.capture import TraceCapture
 from repro.obs.store import TraceStore
 from repro.stats.counters import Counter, Rate
 from repro.telemetry import MetricsRegistry, RunLedger, span
 from repro.telemetry import state as telemetry_state
-from repro.telemetry.spans import Span, recorder
+from repro.telemetry import spans as tracing
 from repro.trace.replay import TraceShardSpec, replay_shard
 
 #: Engines a job may name: the three simulator families, their
@@ -417,22 +416,12 @@ def _run_job_traced(job: ExperimentJob, wire: Dict[str, object],
     its span batch to a ``complete`` payload. Module-level so
     spawn-based platforms can pickle it, like :func:`run_job`.
     """
-    ctx = tracectx.from_wire(wire)
+    ctx = tracing.from_wire(wire)
     if ctx is None:
         return run_job(job), []
-    collected: List[Dict[str, object]] = []
-
-    def _collect(item: Span) -> None:
-        if item.trace_id == ctx.trace_id:
-            collected.append(item.to_json_dict())
-
-    token = recorder.subscribe(_collect)
-    try:
-        with tracectx.activate(ctx):
-            result = run_job(job)
-    finally:
-        recorder.unsubscribe(token)
-    return result, collected
+    with tracing.Collector(ctx.trace_id) as spans, tracing.activate(ctx):
+        result = run_job(job)
+    return result, spans
 
 
 def _dispatch_job(job: ExperimentJob) -> JobResult:
@@ -696,7 +685,6 @@ class SweepExecutor:
         self,
         jobs: Optional[int] = None,
         cache: Union[ResultCache, None, str] = "default",
-        telemetry_enabled: Optional[bool] = None,
         ledger: Union[RunLedger, str, os.PathLike, None] = "auto",
         backend: Optional[str] = None,
         coordinator_url: Optional[str] = None,
@@ -724,9 +712,6 @@ class SweepExecutor:
             self.cache = cache  # type: ignore[assignment]
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Per-executor telemetry override; ``None`` follows the global
-        #: switch (REPRO_TELEMETRY / --no-telemetry).
-        self.telemetry_enabled = telemetry_enabled
         if isinstance(ledger, RunLedger) or ledger is None:
             self.ledger: Optional[RunLedger] = ledger
         elif ledger == "auto":
@@ -748,21 +733,6 @@ class SweepExecutor:
         self._capture: Optional[TraceCapture] = None
         self.last_trace_id: Optional[str] = None
 
-    def _telemetry_on(self) -> bool:
-        if self.telemetry_enabled is not None:
-            return self.telemetry_enabled
-        return telemetry_state.enabled()
-
-    def run(self, jobs: Sequence[ExperimentJob]) -> List[JobResult]:
-        """Run every job, returning results in submission order."""
-        jobs = list(jobs)
-        if not self._telemetry_on() and telemetry_state.enabled():
-            # executor-local opt-out: silence spans/metrics for the
-            # whole sweep, including serial in-process job runs
-            with telemetry_state.disabled():
-                return self._run_all(jobs)
-        return self._run_all(jobs)
-
     def _trace_store(self) -> Optional[TraceStore]:
         """Where this executor persists merged traces (beside the
         ledger), or ``None`` without a durable cache root."""
@@ -770,7 +740,9 @@ class SweepExecutor:
             return None
         return TraceStore.at_cache_root(self.cache.base_root)
 
-    def _run_all(self, jobs: List[ExperimentJob]) -> List[JobResult]:
+    def run(self, jobs: Sequence[ExperimentJob]) -> List[JobResult]:
+        """Run every job, returning results in submission order."""
+        jobs = list(jobs)
         started = time.perf_counter()
         self.last_cluster = None
         hits_before, misses_before = self.cache_hits, self.cache_misses
@@ -1034,8 +1006,8 @@ class SweepExecutor:
         # ship the trace context to pool workers so their sweep/job
         # spans come home with the results (fork inherits the recorder
         # but forked rings never flow back; explicit return does)
-        ctx = tracectx.current()
-        wire = (tracectx.to_wire(ctx)
+        ctx = tracing.current()
+        wire = (tracing.to_wire(ctx)
                 if ctx is not None and self._capture is not None else None)
         while pending:
             attempt += 1

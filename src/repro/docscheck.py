@@ -19,6 +19,11 @@ README + CONTRIBUTING:
   resolve to a ``## N.`` heading in that file; a bare ``§N`` is checked
   against the current file's own numbered headings. This is the check
   that catches a renumbering PR missing a cross-reference.
+* **Knob drift** (whole-tree runs only) — every ``REPRO_*`` name in the
+  code under ``src/`` or ``benchmarks/`` must appear in the docs, and
+  every ``REPRO_*`` name the docs mention must still exist in
+  ``src/``, ``benchmarks/`` or ``.github/``: a deleted knob cannot
+  linger in the docs, nor a new one go undocumented.
 
 Pure stdlib by design: the lint job must not need the simulator's
 test dependencies to validate prose.
@@ -29,7 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Path prefixes that name generated artifacts: referenced legitimately
 #: by the docs, but absent from a fresh checkout.
@@ -53,6 +58,10 @@ _SECTION_REF_RE = re.compile(
 _BARE_SECTION_RE = re.compile(r"§\s*(\d+)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
 _NUMBERED_HEADING_RE = re.compile(r"^#{1,6}\s+(\d+)\.")
+_KNOB_RE = re.compile(r"REPRO_[A-Z_]+")
+
+#: Files scanned for knob names under the code and CI directories.
+_KNOB_SUFFIXES = (".py", ".yml", ".yaml")
 
 
 def strip_fenced_blocks(text: str) -> str:
@@ -223,12 +232,43 @@ def default_targets(root: Path) -> List[Path]:
     return targets
 
 
+def _knob_mentions(files: Iterable[Path], root: Path) -> Dict[str, str]:
+    """The first ``file:line`` naming each ``REPRO_*`` knob."""
+    where: Dict[str, str] = {}
+    for path in files:
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for name in _KNOB_RE.findall(line):
+                where.setdefault(
+                    name, f"{path.relative_to(root)}:{lineno}")
+    return where
+
+
+def _code_files(root: Path, dirs: Sequence[str]) -> List[Path]:
+    return sorted(path for name in dirs for path in (root / name).rglob("*")
+                  if path.suffix in _KNOB_SUFFIXES and path.is_file())
+
+
+def check_knobs(root: Path) -> List[str]:
+    """Knob drift between the code and the docs, in both directions."""
+    code = _knob_mentions(_code_files(root, ("src", "benchmarks")), root)
+    ci = _knob_mentions(_code_files(root, (".github",)), root)
+    docs = _knob_mentions(default_targets(root), root)
+    problems = [f"{code[name]}: knob {name} is not documented in docs/, "
+                f"README.md or CONTRIBUTING.md"
+                for name in sorted(code.keys() - docs.keys())]
+    problems.extend(f"{docs[name]}: no knob {name} in src/, benchmarks/ "
+                    f"or .github/"
+                    for name in sorted(docs.keys() - code.keys() - ci.keys()))
+    return problems
+
+
 def run(paths: Sequence[str], root: Path) -> Tuple[int, List[str]]:
-    """Check the given files (or the default set) and return
-    (files_checked, problems)."""
+    """Check the given files (or the default set, plus knob drift) and
+    return (files_checked, problems)."""
     targets = ([root / p for p in paths] if paths
                else default_targets(root))
-    problems: List[str] = []
+    problems: List[str] = [] if paths else check_knobs(root)
     for target in targets:
         if not target.exists():
             problems.append(f"{target}: no such file")

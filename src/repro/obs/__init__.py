@@ -1,11 +1,10 @@
 """Distributed observability on top of ``repro.telemetry``.
 
-The telemetry layer (spans, metrics, ledger) is deliberately
-process-local; this package makes it fleet-wide:
+The telemetry layer owns spans, trace identity and span collection
+(``repro.telemetry.spans``: the per-thread trace context, W3C-style
+``traceparent`` and wire forms, and the per-trace ``Collector``). This
+package turns collected spans into fleet-wide traces and reports:
 
-- ``repro.obs.context`` — trace-context propagation (``trace_id`` /
-  ``span_id`` / ``parent_id``) across threads, processes, and HTTP hops
-  (W3C-style ``traceparent``).
 - ``repro.obs.capture`` — per-sweep span collection into a trace store.
 - ``repro.obs.store`` — JSONL trace store next to the result cache.
 - ``repro.obs.analysis`` — waterfall / critical-path / Chrome-trace
@@ -13,17 +12,11 @@ process-local; this package makes it fleet-wide:
 - ``repro.obs.profile`` — opt-in sampling profiler (``REPRO_PROFILE=1``).
 - ``repro.obs.prom`` — Prometheus text rendering of metrics snapshots.
 - ``repro.obs.log`` — structured stderr logging (``REPRO_LOG_FORMAT=json``).
-
-Submodules are imported by path (``from repro.obs import context``)
-rather than re-exported here: ``repro.telemetry.spans`` imports
-``repro.obs.context`` at module load, so this ``__init__`` must stay
-free of imports that reach back into ``repro.telemetry``.
 """
 
 __all__ = [
     "analysis",
     "capture",
-    "context",
     "log",
     "profile",
     "prom",

@@ -1,14 +1,14 @@
 """Per-sweep trace capture: collect local + remote spans, persist them.
 
-``SweepExecutor._run_all`` opens a :class:`TraceCapture` around each
-sweep. The capture:
+``SweepExecutor.run`` opens a :class:`TraceCapture` around each sweep.
+The capture:
 
 1. establishes a root trace context on the submitting thread (unless
    one is already active — e.g. the service layer opened a trace for
    the whole HTTP job, in which case the sweep joins that trace);
-2. subscribes to the process-global span recorder and collects every
-   span tagged with this trace's id (serial jobs, cache probes, the
-   ``sweep/run`` root itself);
+2. collects every span this process records for the trace (serial
+   jobs, cache probes, the ``sweep/run`` root itself) through a
+   :class:`~repro.telemetry.spans.Collector`;
 3. accepts remote span batches — pool workers return them with their
    results, cluster workers ship them on ``complete`` payloads and the
    coordinator piggybacks its own on ``batch_status``;
@@ -16,19 +16,18 @@ sweep. The capture:
 5. on close, writes the merged trace to the :class:`TraceStore` next
    to the ledger.
 
-``begin`` returns ``None`` when telemetry or tracing is off, so the
-executor's hot path stays a single ``is not None`` check.
+``begin`` returns ``None`` when telemetry is off, so the executor's hot
+path stays a single ``is not None`` check.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs import context as tracectx
 from repro.obs import profile as profiling
 from repro.obs.store import TraceStore
+from repro.telemetry import spans as tracing
 from repro.telemetry import state
-from repro.telemetry.spans import Span, recorder
 
 
 class TraceCapture:
@@ -37,45 +36,31 @@ class TraceCapture:
         self.store = store
         self.trace_id = trace_id
         self._ctx_token = ctx_token
-        self._spans: List[Dict[str, object]] = []
+        self._local = tracing.Collector(
+            trace_id, limit=tracing.MAX_SPANS_PER_TRACE)
+        self._remote: List[Dict[str, object]] = []
         # span_ids already merged: when the sweep runs inside the
         # service that coordinates it, the coordinator's spans arrive
         # twice (recorded in-process AND shipped back on batch_status),
-        # and dedup here keeps the trace single-copy
+        # and dedup keeps the trace single-copy
         self._seen: set = set()
-        self._sealed = False
         self._closed = False
         self._profiler: Optional[profiling.SamplingProfiler] = None
         if profiling.profiling_enabled():
             self._profiler = profiling.SamplingProfiler().start()
 
-        def _collect(item: Span) -> None:
-            if item.trace_id == trace_id:
-                self._add(item.to_json_dict())
-
-        self._token: Optional[int] = recorder.subscribe(_collect)
-
-    def _add(self, item: Dict[str, object]) -> bool:
-        span_id = item.get("span_id")
-        if span_id is not None:
-            if span_id in self._seen:
-                return False
-            self._seen.add(span_id)
-        self._spans.append(item)
-        return True
-
     @classmethod
     def begin(cls, store: Optional[TraceStore]) -> Optional["TraceCapture"]:
-        """Start capturing for the current sweep, or None if tracing is
-        off. Joins the ambient trace when one exists; otherwise mints a
-        fresh ``trace_id`` and pushes a root context."""
-        if not state.enabled() or not tracectx.tracing_enabled():
+        """Start capturing for the current sweep, or None if telemetry
+        is off. Joins the ambient trace when one exists; otherwise mints
+        a fresh ``trace_id`` and pushes a root context."""
+        if not state.enabled():
             return None
-        ctx = tracectx.current()
+        ctx = tracing.current()
         token: Optional[int] = None
         if ctx is None:
-            ctx = tracectx.TraceContext(tracectx.new_trace_id(), "")
-            token = tracectx.push(ctx)
+            ctx = tracing.TraceContext(tracing.new_trace_id(), "")
+            token = tracing.push(ctx)
         return cls(store, ctx.trace_id, token)
 
     def add_spans(self, spans: object) -> int:
@@ -88,9 +73,11 @@ class TraceCapture:
             return 0
         accepted = 0
         for item in spans:
-            if isinstance(item, dict) and item.get("trace_id") == self.trace_id:
-                if self._add(item):
-                    accepted += 1
+            if (isinstance(item, dict) and item.get("trace_id") == self.trace_id
+                    and item.get("span_id") not in self._seen):
+                self._seen.add(item.get("span_id"))
+                self._remote.append(item)
+                accepted += 1
         return accepted
 
     def seal(self) -> None:
@@ -99,12 +86,7 @@ class TraceCapture:
         Called before the ledger entry is built so the profile summary
         can ride on it; ``close`` still runs later for persistence.
         """
-        if self._sealed:
-            return
-        self._sealed = True
-        if self._token is not None:
-            recorder.unsubscribe(self._token)
-            self._token = None
+        self._local.close()
         if self._profiler is not None:
             self._profiler.stop()
 
@@ -120,10 +102,12 @@ class TraceCapture:
         self._closed = True
         self.seal()
         if self._ctx_token is not None:
-            tracectx.pop(self._ctx_token)
+            tracing.pop(self._ctx_token)
             self._ctx_token = None
-        if self.store is not None and self._spans:
-            self.store.append(self.trace_id, self._spans)
+        spans = self._remote + [item for item in self._local.spans
+                                if item.get("span_id") not in self._seen]
+        if self.store is not None and spans:
+            self.store.append(self.trace_id, spans)
         if (self.store is not None and self._profiler is not None
                 and self._profiler.samples):
             self.store.write_profile(

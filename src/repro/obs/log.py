@@ -29,7 +29,7 @@ import sys
 import time
 from typing import Optional, TextIO
 
-from repro.obs import context as tracectx
+from repro.telemetry import spans as tracing
 
 ENV_FORMAT = "REPRO_LOG_FORMAT"
 
@@ -61,7 +61,7 @@ class StructLogger:
                     "component": self.component,
                     "event": event,
                 }
-                ctx = tracectx.current()
+                ctx = tracing.current()
                 if ctx is not None:
                     payload.setdefault("trace_id", ctx.trace_id)
                 for key, value in fields.items():

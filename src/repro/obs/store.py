@@ -16,18 +16,13 @@ corrupted merged trace.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
+from repro.telemetry.spans import valid_trace_id
+
 TRACES_DIRNAME = "traces"
 PROFILE_SUFFIX = ".prof"
-
-_ID_RE = re.compile(r"^[0-9a-f]{8,64}$")
-
-
-def valid_trace_id(trace_id: object) -> bool:
-    return isinstance(trace_id, str) and bool(_ID_RE.match(trace_id))
 
 
 class TraceStore:

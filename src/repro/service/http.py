@@ -55,13 +55,13 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro import telemetry
 from repro.cluster.coordinator import Coordinator
 from repro.errors import ReproError, ServiceError, TelemetryError
-from repro.obs import context as tracectx
 from repro.obs import prom
 from repro.obs.log import logger
 from repro.service.core import SimulationService, normalize_request
 from repro.service.dashboard import dashboard_html
 from repro.service.queue import JobQueue, SweepJob
 from repro.service.ratelimit import TenantLimiter
+from repro.telemetry.spans import parse_traceparent
 
 log = logger("service")
 
@@ -425,7 +425,7 @@ class ServiceServer:
         # ``traceparent`` joins the job to its trace; otherwise the
         # queue mints a fresh root. Coalesced submits keep the first
         # submitter's trace, so the echoed traceparent may differ.
-        trace = tracectx.parse_traceparent(headers.get("traceparent"))
+        trace = parse_traceparent(headers.get("traceparent"))
         job, created = self.queue.submit(request, tenant=tenant, trace=trace)
         if created:
             self.limiter.job_started(tenant)

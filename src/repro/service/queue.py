@@ -39,10 +39,10 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.obs import context as tracectx
 from repro.obs.store import TraceStore
 from repro.service.core import SimulationService, SweepOutcome, SweepRequest
 from repro.telemetry import state as telemetry_state
+from repro.telemetry import spans as tracing
 from repro.telemetry.spans import Span, recorder
 
 #: Span names translated into progress events (the rest are noise at
@@ -68,7 +68,7 @@ class SweepJob:
 
     def __init__(self, job_id: str, key: str, request: SweepRequest,
                  tenant: str,
-                 trace: Optional[tracectx.TraceContext] = None) -> None:
+                 trace: Optional[tracing.TraceContext] = None) -> None:
         self.id = job_id
         self.key = key
         self.request = request
@@ -76,12 +76,12 @@ class SweepJob:
         self.state = "queued"
         #: How many submits this job absorbed (1 = never coalesced).
         self.submits = 1
-        #: Trace identity for the whole HTTP job (repro.obs): the
-        #: context the submitter propagated via ``traceparent``, or a
-        #: fresh root. ``span_id`` is reserved up front so the submit
-        #: response can emit a ``traceparent`` before execution starts.
+        #: Trace identity for the whole HTTP job: the context the
+        #: submitter propagated via ``traceparent``, or a fresh root.
+        #: ``span_id`` is reserved up front so the submit response can
+        #: emit a ``traceparent`` before execution starts.
         self.trace = trace
-        self.span_id = tracectx.new_span_id() if trace is not None else None
+        self.span_id = tracing.new_span_id() if trace is not None else None
         self.created_ts = time.time()
         self.started_ts: Optional[float] = None
         self.finished_ts: Optional[float] = None
@@ -96,8 +96,8 @@ class SweepJob:
     def traceparent(self) -> Optional[str]:
         if self.trace is None or self.span_id is None:
             return None
-        return tracectx.format_traceparent(
-            tracectx.TraceContext(self.trace.trace_id, self.span_id))
+        return tracing.format_traceparent(
+            tracing.TraceContext(self.trace.trace_id, self.span_id))
 
     @property
     def finished(self) -> bool:
@@ -195,7 +195,7 @@ class JobQueue:
 
     def submit(self, request: SweepRequest,
                tenant: str = "anonymous",
-               trace: Optional[tracectx.TraceContext] = None,
+               trace: Optional[tracing.TraceContext] = None,
                ) -> Tuple[SweepJob, bool]:
         """Admit one request; returns ``(job, created)``.
 
@@ -203,7 +203,7 @@ class JobQueue:
         job (in any state — a finished job is a warm hit served without
         touching the engine at all). ``trace`` is the submitter's
         propagated context (from a ``traceparent`` header); with none
-        given a fresh trace root is minted when tracing is on. A
+        given a fresh trace root is minted when telemetry is on. A
         coalesced submit keeps the first submitter's trace — one job,
         one trace, however many submits it absorbed.
         """
@@ -215,9 +215,8 @@ class JobQueue:
             job.submits += 1
             self.counters["coalesced"] += 1
             return job, False
-        if (trace is None and telemetry_state.enabled()
-                and tracectx.tracing_enabled()):
-            trace = tracectx.TraceContext(tracectx.new_trace_id(), "")
+        if trace is None and telemetry_state.enabled():
+            trace = tracing.TraceContext(tracing.new_trace_id(), "")
         job = SweepJob(key[:JOB_ID_LEN], key, request, tenant, trace=trace)
         self.jobs[key] = job
         self.by_id[job.id] = job
@@ -305,7 +304,7 @@ class JobQueue:
         # finally (pool torn down mid-job), the recorder reaps the
         # subscription instead of leaking it forever
         token = recorder.subscribe(on_span, owner=threading.current_thread())
-        ctx: Optional[tracectx.TraceContext] = None
+        ctx: Optional[tracing.TraceContext] = None
         root: Optional[Span] = None
         started = time.perf_counter()
         if (job.trace is not None and job.span_id is not None
@@ -313,14 +312,11 @@ class JobQueue:
             # the job's reserved span becomes the parent of everything
             # the sweep records (the executor's capture joins this
             # trace instead of minting its own)
-            ctx = tracectx.TraceContext(job.trace.trace_id, job.span_id)
             root = Span("service/job", {"sweep": job.request.sweep,
                                         "job": job.id})
-            root.trace_id = job.trace.trace_id
-            root.span_id = job.span_id
-            root.parent_id = job.trace.span_id or None
+            ctx = root.adopt(job.trace, span_id=job.span_id)
         try:
-            with tracectx.activate(ctx):
+            with tracing.activate(ctx):
                 return self.service.run_sweep(job.request)
         finally:
             recorder.unsubscribe(token)

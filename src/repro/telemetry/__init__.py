@@ -11,7 +11,9 @@ instruction):
   ``--jobs`` setting;
 * **spans** — ``with span("sweep/job", engine="cycle"): ...``:
   monotonic timing into a process-global ring, mirrored to JSONL via
-  ``REPRO_SPAN_LOG``;
+  ``REPRO_SPAN_LOG``; :mod:`repro.telemetry.spans` also owns trace
+  identity (context, ``traceparent``, wire forms) and per-trace span
+  collection, so tracing follows the same switch;
 * **run ledger** — :class:`RunLedger`: append-only JSONL under the
   cache root recording every sweep (configs, cache hits, wall time,
   headline rates, metrics), with content-hash run ids and a

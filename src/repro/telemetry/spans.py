@@ -1,4 +1,4 @@
-"""Span tracing: monotonic timing of named operations, JSONL sink.
+"""Spans and trace identity: timing, trace context, collection.
 
 A *span* covers one timed operation — a sweep, one job, a cache probe,
 a corpus ingest. Usage::
@@ -11,9 +11,9 @@ a corpus ingest. Usage::
 When telemetry is off (:mod:`repro.telemetry.state`) ``span`` yields
 ``None`` and costs one function call; when on, it costs two
 ``perf_counter`` reads and one deque append. Spans land in the
-process-global :data:`recorder` — a bounded in-memory ring (capacity
-``REPRO_SPAN_BUFFER``, default 4096), mirrored line-by-line to a JSONL
-file when ``REPRO_SPAN_LOG=<path>`` is set (or a sink is configured
+process-global :data:`recorder` — a bounded in-memory ring of
+:data:`DEFAULT_CAPACITY` spans, mirrored line-by-line to a JSONL file
+when ``REPRO_SPAN_LOG=<path>`` is set (or a sink is configured
 programmatically). Span names form a small ``area/operation`` taxonomy
 documented in docs/observability.md.
 
@@ -24,45 +24,178 @@ merging the recorder also pins a wall-clock epoch captured at the same
 instant, so ``to_json_dict`` can emit an absolute ``ts`` comparable
 across machines (to NTP accuracy).
 
-When a trace context is active (:mod:`repro.obs.context`), every span
-additionally carries ``trace_id``/``span_id``/``parent_id`` and opens
-a child context for its duration, so nested spans — on this thread or
-any process the context is propagated to — form one coherent tree.
+This module also owns trace identity. A :class:`TraceContext` names
+the trace a piece of work belongs to (``trace_id``) and the span that
+work is nested under (``span_id``). Contexts live on a per-thread
+stack: while a span is open under a context, :meth:`Span.adopt` gives
+it its ``trace_id``/``span_id``/``parent_id`` and ``span()`` pushes a
+child context, so nested spans — on this thread or in any process the
+context is propagated to — form one tree. Crossing a process or HTTP
+boundary serialises the current context with :func:`to_wire` /
+:func:`format_traceparent` and rebuilds it on the far side with
+:func:`from_wire` / :func:`parse_traceparent`. A :class:`Collector`
+gathers one trace's spans as they are recorded, up to a bound.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import os
+import re
 import threading
 import time
+import uuid
 import weakref
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterator, List, Optional, TextIO, Tuple
+from dataclasses import dataclass
+from typing import (Callable, Deque, Dict, Iterator, List, Mapping, Optional,
+                    TextIO, Tuple)
 
-from repro.obs import context as tracectx
 from repro.telemetry import state
 
 ENV_SINK = "REPRO_SPAN_LOG"
-ENV_CAPACITY = "REPRO_SPAN_BUFFER"
 
 #: In-memory ring capacity; old spans fall off, the JSONL sink keeps all.
 DEFAULT_CAPACITY = 4096
 
-#: Floor for ``REPRO_SPAN_BUFFER`` — a ring smaller than this cannot
-#: hold even one smoke sweep's spans and breaks live progress.
-MIN_CAPACITY = 16
+#: Cap on the spans one job ships home (a pool result, a cluster
+#: ``complete`` payload) or the coordinator keeps per batched job.
+MAX_SPANS_PER_JOB = 512
+
+#: Cap on the local spans one sweep's trace capture keeps.
+MAX_SPANS_PER_TRACE = 65536
+
+TRACE_ID_LEN = 32
+SPAN_ID_LEN = 16
+
+_HEX_RE = re.compile(r"[0-9a-f]+")
 
 
-def _capacity_from_env() -> int:
-    raw = os.environ.get(ENV_CAPACITY, "").strip()
-    if not raw:
-        return DEFAULT_CAPACITY
+# -- trace identity ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TraceContext:
+    """The ambient trace identity for work happening on this thread.
+
+    ``span_id`` is the id of the *enclosing* span — the parent any new
+    span should attach to. An empty ``span_id`` marks a trace root:
+    spans opened under it become roots of the span tree.
+    """
+
+    trace_id: str
+    span_id: str = ""
+
+
+class _Stack(threading.local):
+    def __init__(self) -> None:
+        self.items: list = []
+
+
+_stack = _Stack()
+
+
+def new_trace_id() -> str:
+    return uuid.uuid4().hex
+
+
+def new_span_id() -> str:
+    return uuid.uuid4().hex[:SPAN_ID_LEN]
+
+
+def current() -> Optional[TraceContext]:
+    """The innermost active context on this thread, or None."""
+    items = _stack.items
+    return items[-1] if items else None
+
+
+def push(ctx: TraceContext) -> int:
+    """Push ``ctx``; returns a token for :func:`pop`."""
+    _stack.items.append(ctx)
+    return len(_stack.items) - 1
+
+
+def pop(token: int) -> None:
+    """Pop back to the depth recorded by :func:`push`.
+
+    Truncating (rather than popping one element) keeps the stack sane
+    even if a nested frame leaked a push.
+    """
+    del _stack.items[token:]
+
+
+@contextmanager
+def activate(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
+    """Run a block with ``ctx`` as the ambient trace context."""
+    if ctx is None:
+        yield None
+        return
+    token = push(ctx)
     try:
-        return max(MIN_CAPACITY, int(raw))
-    except ValueError:
-        return DEFAULT_CAPACITY
+        yield ctx
+    finally:
+        pop(token)
+
+
+def _valid_id(value: object, length: int) -> bool:
+    return (isinstance(value, str) and len(value) == length
+            and bool(_HEX_RE.fullmatch(value)) and set(value) != {"0"})
+
+
+def valid_trace_id(value: object) -> bool:
+    """Exactly 32 lowercase hex digits, not all zero."""
+    return _valid_id(value, TRACE_ID_LEN)
+
+
+def format_traceparent(ctx: TraceContext) -> str:
+    """W3C-style ``traceparent``: ``00-<trace_id>-<span_id>-01``."""
+    span_id = ctx.span_id if _valid_id(ctx.span_id, SPAN_ID_LEN) else new_span_id()
+    return f"00-{ctx.trace_id}-{span_id}-01"
+
+
+def parse_traceparent(header: object) -> Optional[TraceContext]:
+    """Parse a ``traceparent`` header; None on any malformation.
+
+    Only the version-00 shape is accepted, with its two-hex-digit flags
+    field; the parent span id becomes the context's ``span_id`` so
+    spans opened under it attach to the caller's span.
+    """
+    if not isinstance(header, str):
+        return None
+    parts = header.strip().lower().split("-")
+    if len(parts) != 4:
+        return None
+    version, trace_id, span_id, flags = parts
+    if version != "00" or len(flags) != 2 or not _HEX_RE.fullmatch(flags):
+        return None
+    if not valid_trace_id(trace_id) or not _valid_id(span_id, SPAN_ID_LEN):
+        return None
+    return TraceContext(trace_id=trace_id, span_id=span_id)
+
+
+def to_wire(ctx: TraceContext) -> dict:
+    """JSON-safe form for job payloads and lease grants."""
+    wire = {"trace_id": ctx.trace_id}
+    if ctx.span_id:
+        wire["parent_id"] = ctx.span_id
+    return wire
+
+
+def from_wire(payload: object) -> Optional[TraceContext]:
+    """Rebuild a context from :func:`to_wire` output; None if invalid."""
+    if not isinstance(payload, Mapping):
+        return None
+    trace_id = payload.get("trace_id")
+    if not valid_trace_id(trace_id):
+        return None
+    parent = payload.get("parent_id")
+    span_id = parent if _valid_id(parent, SPAN_ID_LEN) else ""
+    return TraceContext(trace_id=trace_id, span_id=span_id)
+
+
+# -- spans and the recorder --------------------------------------------
 
 
 class Span:
@@ -84,6 +217,20 @@ class Span:
     def set(self, **attrs: object) -> None:
         """Attach attributes while the span is open."""
         self.attrs.update(attrs)
+
+    def adopt(self, ctx: TraceContext,
+              span_id: Optional[str] = None) -> TraceContext:
+        """Join ``ctx``'s trace as a child of its span.
+
+        Stamps ``trace_id``, ``span_id`` (``span_id`` if given, e.g. one
+        reserved before the span opened, else a fresh one) and
+        ``parent_id``, and returns the context spans nested under this
+        one should run in. Safe until the span is recorded.
+        """
+        self.trace_id = ctx.trace_id
+        self.span_id = span_id or new_span_id()
+        self.parent_id = ctx.span_id or None
+        return TraceContext(ctx.trace_id, self.span_id)
 
     def to_json_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -111,10 +258,8 @@ class Span:
 class SpanRecorder:
     """Bounded in-memory span ring with an optional JSONL mirror."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is None:
-            capacity = _capacity_from_env()
-        self._ring: Deque[Span] = collections.deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._ring: Deque[Span] = collections.deque(maxlen=DEFAULT_CAPACITY)
         # Captured back to back: epoch_wall + (perf_counter() - epoch)
         # approximates wall time for any span this process records.
         self._epoch = time.perf_counter()
@@ -123,7 +268,7 @@ class SpanRecorder:
         self._sink: Optional[TextIO] = None
         self._subscribers: Dict[int, Tuple[Callable[[Span], None],
                                            Optional[object]]] = {}
-        self._next_token = 1
+        self._tokens = itertools.count(1)
 
     @property
     def epoch(self) -> float:
@@ -132,10 +277,6 @@ class SpanRecorder:
     @property
     def epoch_wall(self) -> float:
         return self._epoch_wall
-
-    @property
-    def capacity(self) -> int:
-        return self._ring.maxlen or DEFAULT_CAPACITY
 
     def configure_sink(self, path: Optional[str]) -> None:
         """Mirror spans to ``path`` as JSONL; ``None`` restores the
@@ -177,8 +318,7 @@ class SpanRecorder:
         path) cannot leak a dead subscriber that grows the registry and
         keeps its closure alive forever.
         """
-        token = self._next_token
-        self._next_token += 1
+        token = next(self._tokens)   # atomic: subscribers come from many threads
         ref = weakref.ref(owner) if owner is not None else None
         self._subscribers[token] = (callback, ref)
         return token
@@ -234,8 +374,8 @@ def span(name: str, **attrs: object) -> Iterator[Optional[Span]]:
 
     The span is recorded when the block exits — including on exceptions,
     so failed operations still show their duration. Under an active
-    trace context the span is assigned its identity up front and opens
-    a child context, so anything started inside (nested spans, jobs
+    trace context the span adopts its identity up front and opens a
+    child context, so anything started inside (nested spans, jobs
     shipped to another process with the serialised context) parents
     correctly.
     """
@@ -243,21 +383,44 @@ def span(name: str, **attrs: object) -> Iterator[Optional[Span]]:
         yield None
         return
     record = Span(name, dict(attrs))
-    ctx = tracectx.current()
-    token: Optional[int] = None
-    if ctx is not None:
-        record.trace_id = ctx.trace_id
-        record.span_id = tracectx.new_span_id()
-        record.parent_id = ctx.span_id or None
-        token = tracectx.push(
-            tracectx.TraceContext(ctx.trace_id, record.span_id))
+    ctx = current()
+    token = push(record.adopt(ctx)) if ctx is not None else None
     started = time.perf_counter()
     try:
         yield record
     finally:
         ended = time.perf_counter()
         if token is not None:
-            tracectx.pop(token)
+            pop(token)
         record.start_s = started - recorder.epoch
         record.duration_ms = (ended - started) * 1000.0
         recorder.record(record)
+
+
+class Collector:
+    """Subscribes to :data:`recorder` and keeps, as JSON dicts, the first
+    ``limit`` spans carrying ``trace_id`` until :meth:`close`. As a
+    context manager it yields the (growing) list of spans."""
+
+    def __init__(self, trace_id: str, limit: int = MAX_SPANS_PER_JOB) -> None:
+        self.trace_id = trace_id
+        self.limit = limit
+        self.spans: List[Dict[str, object]] = []
+        self._token: Optional[int] = recorder.subscribe(self._on_span)
+
+    def _on_span(self, item: Span) -> None:
+        if item.trace_id == self.trace_id and len(self.spans) < self.limit:
+            self.spans.append(item.to_json_dict())
+
+    def close(self) -> List[Dict[str, object]]:
+        """Stop collecting (idempotent); returns the spans so far."""
+        if self._token is not None:
+            recorder.unsubscribe(self._token)
+            self._token = None
+        return self.spans
+
+    def __enter__(self) -> List[Dict[str, object]]:
+        return self.spans
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

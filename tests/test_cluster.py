@@ -12,6 +12,7 @@ import json
 import time
 import urllib.error
 import urllib.request
+import uuid
 
 import pytest
 
@@ -288,6 +289,40 @@ def fleet(tmp_path):
                             poll_interval_s=0.02) as (url, coordinator):
         with thread_worker(url, "t1", cache):
             yield url, coordinator, cache
+
+
+class TestCoordinatorTrace:
+    def test_batch_spans_survive_ring_eviction(self, tmp_path):
+        """A batch's coordinator spans are collected per batch, so
+        unrelated spans that overrun the in-memory ring lose none."""
+        from repro.cluster import Coordinator
+        from repro.cluster.protocol import encode_result
+        from repro.core.executor import run_job
+        from repro.telemetry import span
+
+        coordinator = Coordinator(cache=ResultCache(tmp_path / "cache"))
+        worker_id = coordinator.handle_register({"worker": "w"})["worker_id"]
+        job = _jobs(sizes=(4,))[0]
+        trace_id = uuid.uuid4().hex
+        batch_id = coordinator.handle_submit({
+            "jobs": [encode_job(job)],
+            "trace": {"trace_id": trace_id, "parent_id": "ab" * 8},
+        })["batch_id"]
+        for _ in range(5000):
+            with span("test/noise"):
+                pass
+        grant = coordinator.handle_lease({"worker_id": worker_id})
+        assert grant["status"] == "job"
+        coordinator.handle_complete({
+            "worker_id": worker_id, "lease_id": grant["lease_id"],
+            "key": grant["key"], "result": encode_result(run_job(job))})
+        spans = coordinator.batch_status(batch_id)["spans"]
+        names = {item["name"] for item in spans}
+        assert {"cluster/submit", "cache/get", "cluster/lease",
+                "cluster/complete"} <= names
+        assert {item["trace_id"] for item in spans} == {trace_id}
+        # reported once, then dropped
+        assert coordinator.batch_status(batch_id)["spans"] == []
 
 
 class TestClusterExecutor:

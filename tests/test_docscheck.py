@@ -125,6 +125,36 @@ class TestFencedBlocks:
         assert len(_check(repo, body)) == 1
 
 
+class TestKnobDrift:
+    def test_matching_knobs_pass(self, repo):
+        (repo / "src" / "knob.py").write_text('ENV = "REPRO_THING"\n')
+        (repo / "docs" / "page.md").write_text("Set `REPRO_THING=1`.\n")
+        assert docscheck.check_knobs(repo) == []
+
+    def test_doc_naming_unknown_knob_fails(self, repo, monkeypatch, capsys):
+        (repo / "docs" / "page.md").write_text("\nSet `REPRO_GONE=0`.\n")
+        problems = docscheck.check_knobs(repo)
+        assert len(problems) == 1
+        assert problems[0].startswith("docs/page.md:2:")
+        assert "REPRO_GONE" in problems[0]
+        monkeypatch.chdir(repo)
+        assert docscheck.main([]) == 1
+        assert "REPRO_GONE" in capsys.readouterr().err
+
+    def test_undocumented_code_knob_fails(self, repo):
+        (repo / "src" / "knob.py").write_text('ENV = "REPRO_HIDDEN"\n')
+        problems = docscheck.check_knobs(repo)
+        assert len(problems) == 1
+        assert problems[0].startswith("src/knob.py:1:")
+        assert "not documented" in problems[0]
+
+    def test_ci_knob_may_be_documented(self, repo):
+        (repo / ".github").mkdir()
+        (repo / ".github" / "ci.yml").write_text("env: REPRO_CI_ONLY=1\n")
+        (repo / "README.md").write_text("CI sets `REPRO_CI_ONLY`.\n")
+        assert docscheck.check_knobs(repo) == []
+
+
 class TestRealRepo:
     def test_shipped_docs_are_clean(self):
         root = Path(__file__).resolve().parent.parent

@@ -1,10 +1,10 @@
 """Tests for repro.obs: distributed tracing, profiling, metrics text.
 
-Covers the acceptance criteria of the observability PR: trace-context
-propagation (thread-local stack, traceparent, wire forms), span
-identity and parenting under an active context, the span-ring capacity
-knob and dead-subscriber reaping, the trace store's corruption
-defenses (a SIGKILLed worker's garbage never pollutes a merged trace),
+Covers trace-context propagation (thread-local stack, traceparent,
+wire forms), span identity and parenting under an active context,
+dead-subscriber reaping, the bounded per-trace collector, the trace
+store's corruption defenses (a SIGKILLed worker's garbage never
+pollutes a merged trace),
 trace analysis (tree, critical path, Chrome export), Prometheus text
 rendering + strict validation, structured logging, the sampling
 profiler, and the two determinism guarantees: results are bit-identical
@@ -12,6 +12,7 @@ with tracing on or off, and serial vs cluster.
 """
 
 import json
+import re
 import threading
 import time
 
@@ -23,13 +24,13 @@ from repro.config.defaults import baseline_config
 from repro.core import ExperimentJob, ResultCache, SweepExecutor
 from repro.core.experiment import WorkloadSpec
 from repro.obs import analysis, prom
-from repro.obs import context as tracectx
 from repro.obs.capture import TraceCapture
 from repro.obs.log import StructLogger
 from repro.obs.profile import SamplingProfiler, render_flame
-from repro.obs.store import TraceStore, valid_trace_id
+from repro.obs.store import TraceStore
 from repro.telemetry import RunLedger, deterministic_view, span
-from repro.telemetry.spans import Span, SpanRecorder
+from repro.telemetry import spans as tracing
+from repro.telemetry.spans import Span, SpanRecorder, valid_trace_id
 
 SPEC = WorkloadSpec("li", seed=1, scale=0.05)
 
@@ -54,23 +55,23 @@ def fresh_telemetry():
 
 class TestTraceContext:
     def test_stack_push_pop_truncates(self):
-        assert tracectx.current() is None
-        outer = tracectx.TraceContext(tracectx.new_trace_id(), "")
-        token = tracectx.push(outer)
-        inner = tracectx.TraceContext(outer.trace_id, tracectx.new_span_id())
-        tracectx.push(inner)  # leaked on purpose
-        tracectx.pop(token)   # truncation heals the leak
-        assert tracectx.current() is None
+        assert tracing.current() is None
+        outer = tracing.TraceContext(tracing.new_trace_id(), "")
+        token = tracing.push(outer)
+        inner = tracing.TraceContext(outer.trace_id, tracing.new_span_id())
+        tracing.push(inner)  # leaked on purpose
+        tracing.pop(token)   # truncation heals the leak
+        assert tracing.current() is None
 
     def test_activate_none_is_noop(self):
-        with tracectx.activate(None) as ctx:
+        with tracing.activate(None) as ctx:
             assert ctx is None
-            assert tracectx.current() is None
+            assert tracing.current() is None
 
     def test_traceparent_roundtrip(self):
-        ctx = tracectx.TraceContext(tracectx.new_trace_id(),
-                                    tracectx.new_span_id())
-        parsed = tracectx.parse_traceparent(tracectx.format_traceparent(ctx))
+        ctx = tracing.TraceContext(tracing.new_trace_id(),
+                                    tracing.new_span_id())
+        parsed = tracing.parse_traceparent(tracing.format_traceparent(ctx))
         assert parsed == ctx
 
     @pytest.mark.parametrize("header", [
@@ -79,25 +80,21 @@ class TestTraceContext:
         "00-" + "0" * 32 + "-" + "b" * 16 + "-01",   # all-zero trace id
         "00-" + "a" * 32 + "-" + "0" * 16 + "-01",   # all-zero span id
         "00-" + "G" * 32 + "-" + "b" * 16 + "-01",   # non-hex
+        "00-" + "a" * 32 + "-" + "b" * 16 + "-0",    # flags too short
+        "00-" + "a" * 32 + "-" + "b" * 16 + "-0123",  # flags too long
+        "00-" + "a" * 31 + "\n-" + "b" * 16 + "-01",  # newline in the id
     ])
     def test_malformed_traceparent_rejected(self, header):
-        assert tracectx.parse_traceparent(header) is None
+        assert tracing.parse_traceparent(header) is None
 
     def test_wire_roundtrip(self):
-        ctx = tracectx.TraceContext(tracectx.new_trace_id(),
-                                    tracectx.new_span_id())
-        assert tracectx.from_wire(tracectx.to_wire(ctx)) == ctx
-        root = tracectx.TraceContext(ctx.trace_id, "")
-        assert tracectx.from_wire(tracectx.to_wire(root)) == root
-        assert tracectx.from_wire(None) is None
-        assert tracectx.from_wire({"trace_id": "nope"}) is None
-
-    def test_tracing_enabled_env(self, monkeypatch):
-        assert tracectx.tracing_enabled()
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert not tracectx.tracing_enabled()
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert tracectx.tracing_enabled()
+        ctx = tracing.TraceContext(tracing.new_trace_id(),
+                                    tracing.new_span_id())
+        assert tracing.from_wire(tracing.to_wire(ctx)) == ctx
+        root = tracing.TraceContext(ctx.trace_id, "")
+        assert tracing.from_wire(tracing.to_wire(root)) == root
+        assert tracing.from_wire(None) is None
+        assert tracing.from_wire({"trace_id": "nope"}) is None
 
 
 class TestSpanIdentity:
@@ -110,8 +107,8 @@ class TestSpanIdentity:
         assert "trace_id" not in payload and "ts" not in payload
 
     def test_nested_spans_parent_correctly(self):
-        ctx = tracectx.TraceContext(tracectx.new_trace_id(), "")
-        with tracectx.activate(ctx):
+        ctx = tracing.TraceContext(tracing.new_trace_id(), "")
+        with tracing.activate(ctx):
             with span("obs/outer"):
                 with span("obs/inner"):
                     pass
@@ -123,14 +120,6 @@ class TestSpanIdentity:
         payload = inner.to_json_dict()
         assert payload["span_id"] == inner.span_id
         assert payload["ts"] > 0
-
-    def test_span_buffer_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPAN_BUFFER", "32")
-        assert SpanRecorder().capacity == 32
-        monkeypatch.setenv("REPRO_SPAN_BUFFER", "1")   # below floor
-        assert SpanRecorder().capacity == 16
-        monkeypatch.setenv("REPRO_SPAN_BUFFER", "bogus")
-        assert SpanRecorder().capacity == 4096
 
     def test_dead_owner_subscription_reaped(self):
         recorder = SpanRecorder()
@@ -162,6 +151,34 @@ class TestSpanIdentity:
         assert recorder.subscriber_count() == 0
 
 
+class TestCollector:
+    def test_filters_by_trace_and_caps(self):
+        ctx = tracing.TraceContext(tracing.new_trace_id(), "")
+        subscribers = telemetry.recorder.subscriber_count()
+        with tracing.Collector(ctx.trace_id, limit=3) as spans:
+            with span("obs/untraced"):
+                pass
+            with tracing.activate(ctx):
+                for _ in range(5):
+                    with span("obs/traced"):
+                        pass
+        assert [item["name"] for item in spans] == ["obs/traced"] * 3
+        assert {item["trace_id"] for item in spans} == {ctx.trace_id}
+        assert telemetry.recorder.subscriber_count() == subscribers
+
+    def test_adopt_stamps_identity(self):
+        ctx = tracing.TraceContext(tracing.new_trace_id(),
+                                   tracing.new_span_id())
+        record = Span("obs/x", {})
+        child = record.adopt(ctx, span_id="ab" * 8)
+        assert (record.trace_id, record.span_id, record.parent_id) \
+            == (ctx.trace_id, "ab" * 8, ctx.span_id)
+        assert child == tracing.TraceContext(ctx.trace_id, "ab" * 8)
+        root = Span("obs/root", {})
+        root.adopt(tracing.TraceContext(ctx.trace_id))
+        assert root.parent_id is None and len(root.span_id) == 16
+
+
 class TestTraceStore:
     def _spans(self, trace_id, count=3):
         out = []
@@ -173,15 +190,15 @@ class TestTraceStore:
 
     def test_append_load_roundtrip_sorted(self, tmp_path):
         store = TraceStore(tmp_path)
-        trace_id = tracectx.new_trace_id()
+        trace_id = tracing.new_trace_id()
         spans = self._spans(trace_id)
         assert store.append(trace_id, reversed(spans)) == 3
         assert store.load(trace_id) == spans   # re-sorted by ts
 
     def test_garbage_and_foreign_spans_filtered(self, tmp_path):
         store = TraceStore(tmp_path)
-        trace_id = tracectx.new_trace_id()
-        other = tracectx.new_trace_id()
+        trace_id = tracing.new_trace_id()
+        other = tracing.new_trace_id()
         batch = [None, 42, "nope",
                  {"name": "foreign", "trace_id": other},
                  {"name": "ok", "trace_id": trace_id}]
@@ -191,7 +208,7 @@ class TestTraceStore:
     def test_torn_line_never_corrupts_merged_trace(self, tmp_path):
         """A SIGKILLed writer's partial line is skipped on load."""
         store = TraceStore(tmp_path)
-        trace_id = tracectx.new_trace_id()
+        trace_id = tracing.new_trace_id()
         store.append(trace_id, self._spans(trace_id, 2))
         with open(store.path(trace_id), "a") as handle:
             handle.write('{"name": "torn", "trace_id": "' + trace_id)
@@ -205,22 +222,23 @@ class TestTraceStore:
         store = TraceStore(tmp_path)
         assert not valid_trace_id("../../etc/passwd")
         assert not valid_trace_id("UPPER" * 8)
+        assert not valid_trace_id("ab" * 8)   # a 16-hex prefix
+        assert not valid_trace_id("0" * 32)
+        assert not valid_trace_id("a" * 31 + "\n")
+        assert valid_trace_id(tracing.new_trace_id())
         with pytest.raises(ValueError):
             store.path("../escape")
 
     def test_profile_roundtrip(self, tmp_path):
         store = TraceStore(tmp_path)
-        trace_id = tracectx.new_trace_id()
+        trace_id = tracing.new_trace_id()
         assert store.load_profile(trace_id) is None
         assert store.write_profile(trace_id, "a;b 3\n")
         assert store.load_profile(trace_id) == "a;b 3\n"
 
 
 class TestCapture:
-    def test_begin_none_when_tracing_off(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert TraceCapture.begin(TraceStore(tmp_path)) is None
-        monkeypatch.delenv("REPRO_TRACE")
+    def test_begin_none_when_tracing_off(self, tmp_path):
         telemetry.set_enabled(False)
         assert TraceCapture.begin(TraceStore(tmp_path)) is None
 
@@ -356,8 +374,8 @@ class TestStructLog:
 
     def test_json_mode_carries_trace_id(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_LOG_FORMAT", "json")
-        ctx = tracectx.TraceContext(tracectx.new_trace_id(), "")
-        with tracectx.activate(ctx):
+        ctx = tracing.TraceContext(tracing.new_trace_id(), "")
+        with tracing.activate(ctx):
             StructLogger("coordinator").info("lease granted",
                                              run_id="abc", jobs=2)
         payload = json.loads(capsys.readouterr().err)
@@ -397,15 +415,14 @@ class TestDeterminism:
         results = executor.run(_jobs())
         return [r.as_dict() for r in results], executor.last_entry
 
-    def test_bit_identical_with_tracing_on_and_off(self, tmp_path,
-                                                   monkeypatch):
-        rows_on, entry_on = self._run(tmp_path, "on")
-        assert entry_on.get("trace_id")
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        rows_off, entry_off = self._run(tmp_path, "off")
-        assert "trace_id" not in entry_off
-        assert rows_on == rows_off
-        assert deterministic_view(entry_on) == deterministic_view(entry_off)
+    def test_bit_identical_with_tracing_on_and_off(self, tmp_path):
+        rows_a, entry_a = self._run(tmp_path, "a")
+        rows_b, entry_b = self._run(tmp_path, "b")
+        assert entry_a["trace_id"] != entry_b["trace_id"]
+        assert deterministic_view(entry_a) == deterministic_view(entry_b)
+        with telemetry.disabled():
+            rows_off, _ = self._run(tmp_path, "off")
+        assert rows_a == rows_b == rows_off
 
     def test_trace_persisted_next_to_ledger(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -483,8 +500,8 @@ class TestServiceTrace:
 
         service = SimulationService(cache="default", jobs=1)
         server = ServiceServer(service, port=0)
-        trace_id = tracectx.new_trace_id()
-        parent = tracectx.new_span_id()
+        trace_id = tracing.new_trace_id()
+        parent = tracing.new_span_id()
         with BackgroundServer(server) as background:
             body = json.dumps({"sweep": "hit-rates", "names": ["li"],
                                "scale": 0.05}).encode()
@@ -545,6 +562,15 @@ class TestTraceCli:
         capsys.readouterr()
         data = json.loads(out_path.read_text())
         assert data["traceEvents"]
+
+    def test_listed_id_round_trips_to_show(self, tmp_path, monkeypatch,
+                                           capsys):
+        self._seed_trace(tmp_path, monkeypatch)
+        assert cli_main(["trace", "list"]) == 0
+        listed = re.findall(r"\b[0-9a-f]{16,}\b", capsys.readouterr().out)
+        assert listed
+        assert cli_main(["trace", "show", listed[0]]) == 0
+        assert "sweep/run" in capsys.readouterr().out
 
     def test_unknown_ref_fails_cleanly(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
