@@ -41,7 +41,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.retry import RetryPolicy
 from repro.cluster.protocol import DEFAULT_LEASE_TIMEOUT_S
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ConfigError
 from repro.telemetry.spans import MAX_SPANS_PER_JOB
 
 #: Job lifecycle states.
@@ -101,6 +101,9 @@ class LeaseTable:
         policy: Optional[RetryPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        if lease_timeout_s <= 0:
+            raise ConfigError(
+                f"lease timeout must be > 0 seconds, got {lease_timeout_s}")
         self.lease_timeout_s = lease_timeout_s
         self.policy = policy or RetryPolicy()
         self.clock = clock

@@ -50,6 +50,7 @@ import dataclasses
 import datetime
 import functools
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
@@ -424,43 +425,40 @@ def _run_job_traced(job: ExperimentJob, wire: Dict[str, object],
     return result, spans
 
 
+#: Cycle-level engines: the (module, attribute) of each entry point and
+#: whether its CPU is single-path (and so reports a BTB hit rate). The
+#: reference entry points are this module's ``run_cycle``/``run_multipath``
+#: imports. The attribute is looked up per job, never bound at import, so
+#: a patched entry point (perfbench's engine tap, a test's monkeypatch) is
+#: the one that runs; the twins' modules load on first use.
+_CYCLE_ENGINES = {
+    "cycle": (__name__, "run_cycle", True),
+    "cycle-fast": ("repro.fastsim.cycle", "run_cycle_fast", True),
+    "multipath": (__name__, "run_multipath", False),
+    "multipath-fast": ("repro.fastsim.multipath", "run_multipath_fast",
+                       False),
+}
+
+
 def _dispatch_job(job: ExperimentJob) -> JobResult:
     if job.engine in TRACE_ENGINES:
         return _run_trace_job(job)
     program = job.program()
-    if job.engine == "cycle":
-        result, cpu = run_cycle(program, job.config,
-                                max_instructions=job.max_instructions)
-        stats = _group_stats(result.group)
+    if job.engine == "fast":
+        fast = run_fast(program, job.config)
+        stats = _group_stats(fast.group)
+        return JobResult(engine=job.engine, instructions=fast.instructions,
+                         cycles=fast.estimated_cycles,
+                         ipc=fast.estimated_ipc, **stats)
+    module, attribute, single_path = _CYCLE_ENGINES[job.engine]
+    entry = getattr(importlib.import_module(module), attribute)
+    result, cpu = entry(program, job.config,
+                        max_instructions=job.max_instructions)
+    stats = _group_stats(result.group)
+    if single_path:
         stats["rates"]["btb_hit_rate"] = cpu.frontend.btb.hit_rate
-        return JobResult(engine=job.engine, instructions=result.instructions,
-                         cycles=result.cycles, ipc=result.ipc, **stats)
-    if job.engine == "cycle-fast":
-        from repro.fastsim.cycle import run_cycle_fast
-        result, cpu = run_cycle_fast(program, job.config,
-                                     max_instructions=job.max_instructions)
-        stats = _group_stats(result.group)
-        stats["rates"]["btb_hit_rate"] = cpu.frontend.btb.hit_rate
-        return JobResult(engine=job.engine, instructions=result.instructions,
-                         cycles=result.cycles, ipc=result.ipc, **stats)
-    if job.engine == "multipath":
-        result, _ = run_multipath(program, job.config,
-                                  max_instructions=job.max_instructions)
-        stats = _group_stats(result.group)
-        return JobResult(engine=job.engine, instructions=result.instructions,
-                         cycles=result.cycles, ipc=result.ipc, **stats)
-    if job.engine == "multipath-fast":
-        from repro.fastsim.multipath import run_multipath_fast
-        result, _ = run_multipath_fast(program, job.config,
-                                       max_instructions=job.max_instructions)
-        stats = _group_stats(result.group)
-        return JobResult(engine=job.engine, instructions=result.instructions,
-                         cycles=result.cycles, ipc=result.ipc, **stats)
-    fast = run_fast(program, job.config)
-    stats = _group_stats(fast.group)
-    return JobResult(engine=job.engine, instructions=fast.instructions,
-                     cycles=fast.estimated_cycles, ipc=fast.estimated_ipc,
-                     **stats)
+    return JobResult(engine=job.engine, instructions=result.instructions,
+                     cycles=result.cycles, ipc=result.ipc, **stats)
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,14 @@ README + CONTRIBUTING:
   every ``REPRO_*`` name the docs mention must still exist in
   ``src/``, ``benchmarks/`` or ``.github/``: a deleted knob cannot
   linger in the docs, nor a new one go undocumented.
+* **CLI-flag drift** (whole-tree runs only) — every ``repro-sim …`` or
+  ``python -m repro …`` example, in inline code or a fenced block,
+  names only flags its (sub)command's parser accepts, so a removed
+  flag cannot linger in an example.
 
 Pure stdlib by design: the lint job must not need the simulator's
-test dependencies to validate prose.
+test dependencies to validate prose. The CLI-flag check imports the
+``repro`` package's own parser, and only when it runs.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ _BARE_SECTION_RE = re.compile(r"§\s*(\d+)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
 _NUMBERED_HEADING_RE = re.compile(r"^#{1,6}\s+(\d+)\.")
 _KNOB_RE = re.compile(r"REPRO_[A-Z_]+")
+_CLI_RE = re.compile(r"(?:repro-sim|python3? -m repro)(?=\s)")
+#: Shell syntax that ends one command of an example line.
+_CLI_END_RE = re.compile(r"\s#|[|&;<>`]")
 
 #: Files scanned for knob names under the code and CI directories.
 _KNOB_SUFFIXES = (".py", ".yml", ".yaml")
@@ -263,12 +271,76 @@ def check_knobs(root: Path) -> List[str]:
     return problems
 
 
+def _command_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """``(line, code)`` for every fenced line (backslash continuations
+    joined) and every inline-code span of the prose."""
+    in_fence = False
+    pending: Optional[Tuple[int, str]] = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if _FENCE_RE.match(line.strip()):
+            in_fence = not in_fence
+            continue
+        if not in_fence:
+            yield from ((lineno, m.group(1))
+                        for m in _CODE_TOKEN_RE.finditer(line))
+            continue
+        start, joined = pending or (lineno, "")
+        joined += " " + line.rstrip()
+        if joined.endswith("\\"):
+            pending = (start, joined[:-1])
+        else:
+            pending = None
+            yield start, joined
+
+
+def check_cli_flags(root: Path) -> List[str]:
+    """CLI examples in the docs naming a flag their command lacks."""
+    import argparse
+
+    from repro.cli import _build_parser
+
+    def leaf(parser, words: List[str]):
+        """The parser the leading command words select, or None."""
+        for word in words:
+            subs = [action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+            if not subs:
+                return parser
+            parser = subs[0].choices.get(word)
+            if parser is None:
+                return None
+        return parser
+
+    top = _build_parser()
+    problems: List[str] = []
+    for path in default_targets(root):
+        rel = path.relative_to(root)
+        text = path.read_text(encoding="utf-8")
+        for lineno, code in _command_lines(text):
+            for match in _CLI_RE.finditer(code):
+                rest = code[match.end():]
+                end = _CLI_END_RE.search(rest)
+                words = (rest[:end.start()] if end else rest).split()
+                parser = leaf(top, words)
+                if parser is None:
+                    continue  # a placeholder or partial command
+                for word in words:
+                    flag = word.split("=", 1)[0]
+                    if (flag.startswith("--") and len(flag) > 2
+                            and flag not in parser._option_string_actions):
+                        problems.append(
+                            f"{rel}:{lineno}: `{parser.prog}` has no "
+                            f"flag {flag}")
+    return problems
+
+
 def run(paths: Sequence[str], root: Path) -> Tuple[int, List[str]]:
     """Check the given files (or the default set, plus knob drift) and
     return (files_checked, problems)."""
     targets = ([root / p for p in paths] if paths
                else default_targets(root))
-    problems: List[str] = [] if paths else check_knobs(root)
+    problems: List[str] = ([] if paths
+                           else check_knobs(root) + check_cli_flags(root))
     for target in targets:
         if not target.exists():
             problems.append(f"{target}: no such file")

@@ -154,6 +154,11 @@ class TestLeaseTable:
                                                 base_delay_s=1.0))
         return LeaseTable(clock=clock, **kwargs)
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_non_positive_lease_timeout_is_rejected(self, timeout):
+        with pytest.raises(ConfigError, match="lease timeout"):
+            self._table(FakeClock(), lease_timeout_s=timeout)
+
     def test_lease_complete_batch_order(self):
         clock = FakeClock()
         table = self._table(clock)

@@ -155,6 +155,35 @@ class TestKnobDrift:
         assert docscheck.check_knobs(repo) == []
 
 
+class TestCliFlagDrift:
+    def test_accepted_flags_pass(self, repo):
+        (repo / "docs" / "page.md").write_text(
+            "Run `repro-sim speedup --jobs 4 --json=f2.json`.\n\n"
+            "```bash\n"
+            "$ REPRO_SCALE=0.05 python -m repro corpus replay traces/ \\\n"
+            "    --engine batch --sizes 1 4   # a comment --not-a-flag\n"
+            "repro-sim <command> --whatever   # placeholder, skipped\n"
+            "```\n")
+        assert docscheck.check_cli_flags(repo) == []
+
+    def test_flag_the_command_lacks_fails(self, repo, monkeypatch, capsys):
+        (repo / "docs" / "page.md").write_text(
+            "\nRun `repro-sim run --benchmark li --json out.json`.\n")
+        problems = docscheck.check_cli_flags(repo)
+        assert problems == [
+            "docs/page.md:2: `repro-sim run` has no flag --json"]
+        monkeypatch.chdir(repo)
+        assert docscheck.main([]) == 1
+        assert "has no flag --json" in capsys.readouterr().err
+
+    def test_continued_fenced_line_reports_its_first_line(self, repo):
+        (repo / "README.md").write_text(
+            "```\nrepro-sim parity --names li \\\n    --jobs 2\n```\n")
+        problems = docscheck.check_cli_flags(repo)
+        assert problems == [
+            "README.md:2: `repro-sim parity` has no flag --jobs"]
+
+
 class TestRealRepo:
     def test_shipped_docs_are_clean(self):
         root = Path(__file__).resolve().parent.parent

@@ -572,6 +572,15 @@ class TestTraceCli:
         assert cli_main(["trace", "show", listed[0]]) == 0
         assert "sweep/run" in capsys.readouterr().out
 
+    def test_list_and_show_with_the_result_cache_off(self, tmp_path,
+                                                     monkeypatch, capsys):
+        trace_id = self._seed_trace(tmp_path, monkeypatch)
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        assert cli_main(["trace", "list"]) == 0
+        assert trace_id[:16] in capsys.readouterr().out
+        assert cli_main(["trace", "show", trace_id]) == 0
+        assert "sweep/run" in capsys.readouterr().out
+
     def test_unknown_ref_fails_cleanly(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert cli_main(["trace", "show", "ffff" * 8]) == 1
