@@ -1,10 +1,11 @@
 """Corpus pipeline: build a sharded trace corpus, then sweep it.
 
-Times the full data path the corpus subsystem adds: streaming
-ingestion (emulator -> compressed v2 shards + manifest) followed by an
-executor-routed stack-depth sweep over every shard. Caching is
-disabled so the timing reflects real ingest + replay work on every
-run.
+``trace_corpus`` times the full data path the corpus subsystem adds:
+streaming ingestion (decode-table capture -> compressed v2 shards +
+manifest) followed by an executor-routed stack-depth sweep over every
+shard. ``trace_corpus_ingest`` times ingestion alone; its rows (counts
+and shard digests) are deterministic. Caching is disabled so the
+timing reflects real ingest + replay work on every run.
 """
 
 import itertools
@@ -36,3 +37,23 @@ def test_bench_trace_corpus(benchmark, emit, bench_seed, bench_scale,
         assert returns > 0, name
         # Capacity story: the 64-entry stack must beat the 1-entry one.
         assert accuracies[-1] > accuracies[0], name
+
+
+def test_bench_trace_corpus_ingest(benchmark, emit, bench_seed, bench_scale,
+                                   tmp_path):
+    specs = [WorkloadSpec(name, bench_seed, bench_scale) for name in _NAMES]
+
+    def ingest():
+        store = CorpusStore.create(tmp_path / f"corpus{next(_ROUND)}")
+        records = store.build_from_specs(specs)
+        rows = [[record.name, record.events, record.calls, record.returns,
+                 record.checksum[:12]] for record in records]
+        return ("Corpus ingestion (decode-table capture -> v2 shards)",
+                ["shard", "events", "calls", "returns", "sha256"], rows)
+
+    table = benchmark.pedantic(ingest, rounds=1, iterations=1)
+    emit("trace_corpus_ingest", table)
+    title, headers, rows = table
+    assert len(rows) == len(_NAMES)
+    for name, events, calls, returns, _ in rows:
+        assert events > calls > 0, name

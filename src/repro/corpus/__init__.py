@@ -3,9 +3,11 @@
 This package is the data-pipeline backbone for trace-driven
 experiments: a directory of chunked v2 trace shards plus a JSON
 manifest (:mod:`repro.corpus.store`, :mod:`repro.corpus.manifest`),
-streaming ingestion from the reference emulator or from external
-ChampSim traces (:mod:`repro.corpus.champsim`), and executor-routed
-capacity sweeps over whole corpora (:mod:`repro.corpus.replay`).
+streaming ingestion of workload programs (executed on the fast
+engines' decode-table handlers, parity-checked against the reference
+emulator) or of external ChampSim traces (:mod:`repro.corpus.champsim`),
+and executor-routed capacity sweeps over whole corpora
+(:mod:`repro.corpus.replay`).
 See docs/traces.md for formats, schema, and CLI examples
 (``repro-sim corpus build|import|info|verify|replay``).
 """

@@ -297,7 +297,9 @@ class CorpusStore:
         specs: Iterable[WorkloadSpec],
         max_instructions: int = 50_000_000,
     ) -> List[ShardRecord]:
-        """Record one shard per workload spec via the reference emulator."""
+        """Record one shard per workload spec via
+        :func:`~repro.trace.format.iter_control_events` (decode-table
+        capture, byte-identical to a reference-emulator recording)."""
         specs = list(specs)
         records = []
         with span("corpus/build", shards=len(specs)):

@@ -33,7 +33,11 @@ as the columnar single-path engine (:mod:`repro.fastsim.cycle`):
 Path state stays in :class:`~repro.multipath.path.PathContext` objects
 (the ancestry/visibility machinery is shared with the reference), and
 the per-entry record is a slim ``__slots__`` row instead of
-:class:`~repro.pipeline.inflight.InflightInstruction`.
+:class:`~repro.pipeline.inflight.InflightInstruction`, and an IFQ slot
+is a plain tuple. The alive-path list is cached between the events that
+change it (a fork, a kill, a recovery, a prune), so the per-cycle
+dispatch, fetch and fast-forward scans visit only alive paths without
+re-filtering ``_paths`` every cycle.
 
 The differential harness in :mod:`repro.fastsim.parity` checks this
 engine against the reference across every repair mechanism, stack
@@ -100,17 +104,11 @@ class _Entry:
         self.fork_child: Optional[PathContext] = None
 
 
-class _Fetched:
-    """One IFQ slot (pc, decoded index, prediction, readiness)."""
-
-    __slots__ = ("pc", "ii", "prediction", "ready_cycle", "forked_child")
-
-    def __init__(self, pc, ii, prediction, ready_cycle):
-        self.pc = pc
-        self.ii = ii
-        self.prediction = prediction
-        self.ready_cycle = ready_cycle
-        self.forked_child: Optional[PathContext] = None
+#: One IFQ slot is a tuple ``(pc, ii, prediction, ready_cycle,
+#: forked_child)``; the fork is decided before the slot is built.
+#: Field positions the dispatch and fast-forward scans read:
+_II = 1
+_READY = 3
 
 
 class FastMultipathCPU:
@@ -156,6 +154,9 @@ class FastMultipathCPU:
             ras=self.organizer.root_stack(),
         )
         self._paths: List[PathContext] = [root]
+        #: ``_paths`` filtered to the alive ones, in order; ``None`` once
+        #: a path's ``alive`` flips or a path is added.
+        self._alive: Optional[List[PathContext]] = [root]
         self._next_path_id = 1
         self._ruu: Deque[_Entry] = deque()
         self._lsq_count = 0
@@ -191,7 +192,10 @@ class FastMultipathCPU:
     # Helpers.
 
     def _alive_paths(self) -> List[PathContext]:
-        return [p for p in self._paths if p.alive]
+        alive = self._alive
+        if alive is None:
+            alive = self._alive = [p for p in self._paths if p.alive]
+        return alive
 
     def _load(self, address: int) -> int:
         """Architectural memory + store forwarding for the bound path.
@@ -237,11 +241,11 @@ class FastMultipathCPU:
 
     def _release_ifq(self, path: PathContext) -> None:
         """Drop a path's IFQ, releasing slots and pending fork children."""
-        for fetched in path.ifq:
-            if fetched.prediction is not None:
-                self.frontend.release(fetched.prediction)
-            if fetched.forked_child is not None:
-                self._kill_subtree(fetched.forked_child)
+        for _, _, prediction, _, child in path.ifq:
+            if prediction is not None:
+                self.frontend.release(prediction)
+            if child is not None:
+                self._kill_subtree(child)
         path.ifq.clear()
 
     def _kill_subtree(self, root: PathContext) -> None:
@@ -253,6 +257,7 @@ class FastMultipathCPU:
             victim.alive = False
             victim.lost = True
             victim.dead = True
+            self._alive = None
             self._release_ifq(victim)
         victim_set = set(id(v) for v in victims)
         for entry in self._ruu:
@@ -341,6 +346,7 @@ class FastMultipathCPU:
         path.alive = False
         path.lost = True
         path.fetch_halted = True
+        self._alive = None
         # No RAS restore: see StackOrganizer.repair_on_fork_resolution.
 
     def _recover_in_path(self, branch: _Entry) -> None:
@@ -348,27 +354,25 @@ class FastMultipathCPU:
         self._squash_after(path, branch.seq)
         path.alive = True
         path.lost = False
+        self._alive = None
         path.fetch_pc = branch.next_pc
         path.fetch_halted = False
         path.fetch_stalled_until = self.cycle + 1
         path.last_fetch_line = None
 
-    def _maybe_fork(self, path: PathContext, fetched: _Fetched) -> None:
-        """Fork at a low-confidence conditional branch, context permitting."""
-        decode = self.decode
-        if decode.control[fetched.ii] is not ControlClass.COND_BRANCH:
-            return
+    def _maybe_fork(self, path: PathContext, pc: int, ii: int,
+                    prediction) -> Optional[PathContext]:
+        """Fork at a low-confidence conditional branch, context
+        permitting; returns the child path, if one was forked."""
         if len(self._alive_paths()) >= self.config.multipath.max_paths:
-            return
-        if not self.confidence.is_low_confidence(fetched.pc):
-            return
-        prediction = fetched.prediction
-        assert prediction is not None
-        inst = self.program.text[fetched.ii]
-        alternate = (fetched.pc + WORD_SIZE if prediction.taken
-                     else inst.target)
-        if alternate is None or not self.program.in_text(alternate):
-            return
+            return None
+        if not self.confidence.is_low_confidence(pc):
+            return None
+        alternate = (pc + WORD_SIZE if prediction.taken
+                     else self.program.text[ii].target)
+        if (alternate is None or not 0 <= alternate < self.decode.text_limit
+                or alternate % WORD_SIZE):
+            return None
         child = PathContext(
             self._next_path_id, alternate, regs=None, parent=path,
             ras=self.organizer.stack_for_fork(path),
@@ -377,8 +381,9 @@ class FastMultipathCPU:
         child.alternate_target = alternate
         self._next_path_id += 1
         self._paths.append(child)
-        fetched.forked_child = child
+        self._alive = None
         self._forks += 1
+        return child
 
     def _prune_paths(self) -> None:
         """Collapse drained zombies out of ancestry chains, drop corpses.
@@ -406,6 +411,7 @@ class FastMultipathCPU:
                     referenced.add(id(node))
                     node = node.parent
         self._paths = [p for p in self._paths if id(p) in referenced]
+        self._alive = None
 
     # ------------------------------------------------------------------
     # Driver.
@@ -432,8 +438,8 @@ class FastMultipathCPU:
 
         program = self.program
         text = program.text
-        in_text = program.in_text
         decode = self.decode
+        text_limit = decode.text_limit
         d_control = decode.is_control
         d_class = decode.control
         d_memory = decode.is_memory
@@ -641,9 +647,9 @@ class FastMultipathCPU:
                 # ---- dispatch (round-robin over ready paths) ---------
                 budget = decode_width
                 candidates = [
-                    p for p in self._paths
-                    if p.alive and p.dispatch_enabled and p.ifq
-                    and p.ifq[0].ready_cycle <= cycle
+                    p for p in self._alive_paths()
+                    if p.dispatch_enabled and p.ifq
+                    and p.ifq[0][_READY] <= cycle
                 ]
                 if candidates:
                     start = self._rr_offset % len(candidates)
@@ -656,30 +662,28 @@ class FastMultipathCPU:
                             if budget == 0:
                                 break
                             ifq = path.ifq
-                            if not ifq or ifq[0].ready_cycle > cycle:
+                            if not ifq or ifq[0][_READY] > cycle:
                                 continue
                             if len(ruu) >= ruu_cap:
                                 full = True
                                 break
-                            fetched = ifq[0]
-                            ii = fetched.ii
+                            ii = ifq[0][_II]
                             if d_memory[ii] and lsq_count >= lsq_cap:
                                 continue
-                            ifq.popleft()
+                            pc, ii, prediction, _, child = ifq.popleft()
                             # -- dispatch one (execute, rename, fork) --
                             seq += 1
                             undo = []
                             self._load_path = path
                             next_pc, taken, mem_addr, store_value = (
-                                exec_fns[ii](text[ii], fetched.pc, path.regs,
+                                exec_fns[ii](text[ii], pc, path.regs,
                                              load_fn, undo))
-                            entry = _Entry(seq, fetched.pc, ii,
-                                           fetched.prediction, cycle, path)
+                            entry = _Entry(seq, pc, ii, prediction, cycle,
+                                           path)
                             entry.next_pc = next_pc
                             entry.taken = taken
                             entry.undo = undo
                             entry.mem_address = mem_addr
-                            prediction = fetched.prediction
                             if prediction is not None and not d_halt[ii]:
                                 entry.mispredicted = (
                                     prediction.target != next_pc)
@@ -714,7 +718,6 @@ class FastMultipathCPU:
                                         bucket.append(entry)
                                 else:
                                     entry.is_load = True
-                            child = fetched.forked_child
                             if child is not None and child.alive:
                                 # The fork's register snapshot exists now.
                                 child.regs = list(path.regs)
@@ -744,7 +747,7 @@ class FastMultipathCPU:
                         ifq = path.ifq
                         while budget and len(ifq) < ifq_cap:
                             pc = path.fetch_pc
-                            if not in_text(pc):
+                            if not 0 <= pc < text_limit or pc % WORD_SIZE:
                                 path.fetch_halted = True
                                 break
                             line = pc >> fetch_line_shift
@@ -757,16 +760,17 @@ class FastMultipathCPU:
                                     break
                             ii = pc // WORD_SIZE
                             prediction = None
+                            child = None
                             next_pc = pc + WORD_SIZE
                             if d_control[ii]:
                                 prediction = predict(pc, text[ii],
                                                      ras=path.ras)
                                 next_pc = prediction.target
-                            fetched = _Fetched(pc, ii, prediction,
-                                               cycle + frontend_lag)
-                            if prediction is not None:
-                                self._maybe_fork(path, fetched)
-                            ifq.append(fetched)
+                                if d_class[ii] is COND:
+                                    child = self._maybe_fork(
+                                        path, pc, ii, prediction)
+                            ifq.append((pc, ii, prediction,
+                                        cycle + frontend_lag, child))
                             fetched_n += 1
                             path.fetch_pc = next_pc
                             budget -= 1
@@ -807,12 +811,10 @@ class FastMultipathCPU:
                 target = -1
                 if inflight:
                     target = min_complete
-                for path in self._paths:
-                    if not path.alive:
-                        continue
+                for path in self._alive_paths():
                     ifq = path.ifq
                     if ifq and path.dispatch_enabled:
-                        ready = ifq[0].ready_cycle
+                        ready = ifq[0][_READY]
                         if ready >= cycle and (target < 0 or ready < target):
                             target = ready
                     if (not path.fetch_halted and len(ifq) < ifq_cap

@@ -6,7 +6,8 @@ stream once, then replay it through any number of predictor
 configurations without re-emulating. This package provides the binary
 trace containers (`TraceWriter` / `TraceReader`; flat v1 and chunked,
 compressed, CRC-protected v2 — see docs/traces.md), a recorder that
-drives the reference emulator, and streaming trace-driven
+executes programs on the fast engines' decode-table handlers (the
+reference emulator is its parity oracle), and streaming trace-driven
 return-address-stack evaluation used for corruption-free sweeps. The
 corpus layer on top — durable shard directories, manifests, ChampSim
 import — lives in :mod:`repro.corpus`.

@@ -39,11 +39,11 @@ from __future__ import annotations
 import io
 import struct
 import zlib
+from collections import deque
 from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.emu.emulator import Emulator
-from repro.errors import ReproError
-from repro.isa.opcodes import ControlClass
+from repro.errors import EmulationError, ReproError
+from repro.isa.opcodes import NUM_REGS, WORD_SIZE, ControlClass
 from repro.isa.program import Program
 
 MAGIC = b"RASTRACE"
@@ -417,23 +417,52 @@ def iter_control_events(
     program: Program,
     max_instructions: int = 50_000_000,
 ) -> Iterator[ControlFlowEvent]:
-    """Run ``program`` on the reference emulator, yielding its control
-    transfers as they commit.
+    """Execute ``program`` on its decode table's opcode handlers,
+    yielding its control transfers as they commit.
 
     This is the streaming core of :func:`record_trace` and of corpus
     ingestion: nothing is buffered, so arbitrarily long executions
-    produce events in O(1) memory.
+    produce events in O(1) memory. The handlers are the fast engines'
+    (:mod:`repro.fastsim.decode`), parity-checked against
+    :func:`repro.emu.exec_core.execute`; the stream, the watchdog and
+    the fetch checks match :meth:`repro.emu.emulator.Emulator.trace`
+    event for event and message for message.
     """
+    # Imported here: the repro.fastsim package imports its batch replay
+    # engine, which imports this module.
+    from repro.fastsim.decode import decode_table
+
+    table = decode_table(program)
+    text = program.text
+    exec_fns = table.exec_fns
+    is_control = table.is_control
+    control = table.control
+    is_halt = table.is_halt
+    text_limit = table.text_limit
+    regs = [0] * NUM_REGS
+    mem = dict(program.data)
+    # Capture never rewinds, so the handlers' undo records are dropped.
+    undo: deque = deque(maxlen=0)
+    pc = program.entry
+    executed = 0
     gap = 0
-    emulator = Emulator(program, max_instructions=max_instructions)
-    for record in emulator.trace():
-        inst = program.fetch(record.pc)
-        if inst.is_control:
-            yield ControlFlowEvent(inst.control, record.pc,
-                                   record.next_pc, gap)
+    while True:
+        if executed >= max_instructions:
+            raise EmulationError(
+                f"watchdog: {max_instructions} instructions without HALT")
+        if not 0 <= pc < text_limit or pc % WORD_SIZE:
+            raise EmulationError(f"fetch from {pc}: outside text segment")
+        index = pc // WORD_SIZE
+        next_pc = exec_fns[index](text[index], pc, regs, mem, undo)[0]
+        executed += 1
+        if is_halt[index]:
+            return
+        if is_control[index]:
+            yield ControlFlowEvent(control[index], pc, next_pc, gap)
             gap = 0
         else:
             gap += 1
+        pc = next_pc
 
 
 def record_trace(
@@ -442,8 +471,8 @@ def record_trace(
     max_instructions: int = 50_000_000,
     version: int = VERSION,
 ) -> Union[bytes, int]:
-    """Run ``program`` on the reference emulator, recording its control
-    transfers.
+    """Run ``program`` through :func:`iter_control_events`, recording
+    its control transfers.
 
     With ``destination=None`` the trace is returned as ``bytes``; with a
     path or binary stream it is written there and the event count is

@@ -1,21 +1,28 @@
 """Unit tests for the trace subsystem."""
 
+import hashlib
 import io
 
 import pytest
 
 from repro.config import RepairMechanism
+from repro.core.experiment import WorkloadSpec, build_program
+from repro.corpus import CorpusStore
+from repro.corpus.store import write_shard_file
 from repro.emu import Emulator
+from repro.errors import EmulationError
+from repro.isa.assembler import ProgramBuilder
 from repro.isa.opcodes import ControlClass
 from repro.trace import (
     ControlFlowEvent,
     TraceRasEvaluator,
     TraceReader,
     TraceWriter,
+    iter_control_events,
     record_trace,
 )
 from repro.trace.format import TraceFormatError
-from repro.workloads import build_workload
+from repro.workloads import BENCHMARK_NAMES, build_workload
 from repro.workloads.kernels import fibonacci_kernel, loop_sum_kernel
 
 
@@ -89,6 +96,100 @@ class TestRecording:
             reader = TraceReader(stream)
             assert reader.count == count
             assert len(reader.read_all()) == count
+
+
+def _reference_events(program, max_instructions=50_000_000):
+    """The control stream derived from the golden-model emulator."""
+    gap = 0
+    emulator = Emulator(program, max_instructions=max_instructions)
+    for record in emulator.trace():
+        inst = program.fetch(record.pc)
+        if inst.is_control:
+            yield ControlFlowEvent(inst.control, record.pc,
+                                   record.next_pc, gap)
+            gap = 0
+        else:
+            gap += 1
+
+
+def _drain(events):
+    """Collect ``events`` up to the end or the first EmulationError;
+    returns ``(events, error message or None)``."""
+    collected = []
+    try:
+        for event in events:
+            collected.append(event)
+    except EmulationError as error:
+        return collected, str(error)
+    return collected, None
+
+
+class TestCaptureParity:
+    """Capture runs the decode table's handlers; the emulator is its
+    oracle, event for event and error for error."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_stream_matches_emulator(self, name, seed):
+        program = build_program(WorkloadSpec(name, seed, 0.05))
+        assert (list(iter_control_events(program))
+                == list(_reference_events(program)))
+
+    def test_shard_bytes_match_emulator_recording(self, tmp_path):
+        specs = [WorkloadSpec(name, 1, 0.05) for name in ("li", "vortex")]
+        store = CorpusStore.create(tmp_path / "corpus")
+        records = store.build_from_specs(specs)
+        for spec, record in zip(specs, records):
+            path = tmp_path / f"{record.name}.reference"
+            counts = write_shard_file(
+                path, _reference_events(build_program(spec)))
+            assert counts == (record.events, record.calls, record.returns)
+            assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                    == record.checksum)
+
+    @pytest.mark.parametrize("limit", [1, 7, 100])
+    def test_watchdog_matches_emulator(self, limit):
+        program = fibonacci_kernel(8)
+        captured = _drain(iter_control_events(program,
+                                              max_instructions=limit))
+        reference = _drain(_reference_events(program,
+                                             max_instructions=limit))
+        assert captured == reference
+        assert captured[1] == (
+            f"watchdog: {limit} instructions without HALT")
+
+    @pytest.mark.parametrize("limit", [1, 7, 100])
+    def test_watchdog_stops_at_the_limit(self, limit):
+        # Every instruction of a spin loop is an event, so the event
+        # count shows exactly how many instructions ran.
+        b = ProgramBuilder()
+        b.label("main")
+        b.j("main")
+        program = b.build(entry="main")
+        captured = _drain(iter_control_events(program,
+                                              max_instructions=limit))
+        assert captured == _drain(_reference_events(
+            program, max_instructions=limit))
+        assert len(captured[0]) == limit
+
+    @pytest.mark.parametrize("target", [0x9999000, 6])
+    def test_jump_out_of_text_matches_emulator(self, target):
+        b = ProgramBuilder()
+        b.label("main")
+        b.li(1, 3)
+        b.label("top")
+        b.addi(1, 1, -1)
+        b.bnez(1, "top")
+        b.li(2, target)
+        b.jr(2)
+        b.halt()
+        program = b.build(entry="main")
+        captured = _drain(iter_control_events(program))
+        assert captured == _drain(_reference_events(program))
+        events, error = captured
+        assert [event.control for event in events] == (
+            [ControlClass.COND_BRANCH] * 3 + [ControlClass.JUMP_INDIRECT])
+        assert error == f"fetch from {target}: outside text segment"
 
 
 class TestTraceRasEvaluator:
