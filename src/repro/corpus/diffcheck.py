@@ -41,14 +41,19 @@ from __future__ import annotations
 import collections
 import dataclasses
 import os
-from typing import Deque, Dict, Iterable, List, Optional, Union
+from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.config.options import RepairMechanism
 from repro.errors import DivergenceError
-from repro.isa.opcodes import ControlClass
 from repro.telemetry import span
 from repro.trace.format import ControlFlowEvent, iter_trace_file
-from repro.trace.replay import TraceShardSpec, _Lane
+from repro.trace.replay import (
+    _CALL_DIRECT,
+    _CALL_INDIRECT,
+    _RETURN,
+    TraceShardSpec,
+    _Lane,
+)
 
 #: Bump when the DiffReport JSON layout changes shape.
 DIFF_SCHEMA = 1
@@ -216,14 +221,18 @@ def diff_events(
     """
     lane = _Lane(ras_entries, mechanism, btb_fallback)
     reference = ReferenceReturnStack(max_size=ras_entries)
-    ring: Deque[Dict[str, object]] = collections.deque(
+    # (index, event) pairs: the summaries are built only when a first
+    # divergence is recorded, not once per event
+    ring: Deque[Tuple[int, ControlFlowEvent]] = collections.deque(
         maxlen=max(1, context_events))
+    remember = ring.append
     corrupt_at = corrupt_event_index()
-    total = returns = ours_hits = reference_hits = divergences = 0
+    returns = ours_hits = reference_hits = divergences = 0
+    index = -1
     first: Optional[Dict[str, object]] = None
     for index, event in enumerate(events):
         control = event.control
-        if control is ControlClass.RETURN:
+        if control is _RETURN:
             reference_predicted = reference.prediction()
             reference.calibrate_call_size(event.next_pc)
             ours_event = event
@@ -254,14 +263,14 @@ def diff_events(
                         "reference": reference_predicted,
                         "ours_hit": ours_hit,
                         "reference_hit": reference_hit,
-                        "context": list(ring),
+                        "context": [_event_summary(before, at)
+                                    for at, before in ring],
                     }
-        else:
-            if control.is_call:
-                reference.push(event.pc)
+        elif control is _CALL_DIRECT or control is _CALL_INDIRECT:
+            reference.push(event.pc)
             lane.step(event)
-        ring.append(_event_summary(event, index))
-        total += 1
+        remember((index, event))
+    total = index + 1
     return DiffReport(
         shard=shard_name,
         checksum=checksum,

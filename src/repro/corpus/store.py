@@ -82,15 +82,22 @@ def write_shard_file(
     """
     calls = 0
     returns = 0
+    # identity tests, not ``ControlClass.is_call``: a property call per
+    # event is measurable on the corpus build path
+    call_direct = ControlClass.CALL_DIRECT
+    call_indirect = ControlClass.CALL_INDIRECT
+    return_ = ControlClass.RETURN
     try:
         with open(path, "wb") as stream:
             writer = TraceWriter(stream, version=version,
                                  block_events=block_events)
+            append = writer.append
             for event in events:
-                writer.append(event)
-                if event.control.is_call:
+                append(event)
+                control = event.control
+                if control is call_direct or control is call_indirect:
                     calls += 1
-                elif event.control is ControlClass.RETURN:
+                elif control is return_:
                     returns += 1
             count = writer.close()
     except BaseException:

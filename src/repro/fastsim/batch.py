@@ -2,10 +2,11 @@
 
 The streaming evaluator in :mod:`repro.trace.replay` dispatches one
 Python-level event at a time: every committed control transfer becomes
-a :class:`~repro.trace.format.ControlFlowEvent` object, walks an
-``Enum`` property or two, and crosses a ``lane.step`` call — fine for
-correctness work, interpreter-bound for corpus sweeps. This module
-replays the same shards block-at-a-time instead:
+a :class:`~repro.trace.format.ControlFlowEvent` object and is tested
+against the three stack-relevant classes, and each call or return then
+crosses a ``lane.step`` call per stack size — fine for correctness
+work, interpreter-bound for corpus sweeps. This module replays the same
+shards block-at-a-time instead:
 
 1. **Decode** — each zlib block of a v2 shard (or a pseudo-block slice
    of a v1 body) is decoded straight into flat columns via numpy when
@@ -445,17 +446,22 @@ class _ChampSimLane(_LaneBase):
                     self.overflows += 1
 
 
+def _fallback_btb(btb_fallback: bool) -> Optional[BranchTargetBuffer]:
+    return BranchTargetBuffer() if btb_fallback else None
+
+
 def _make_lane(ras_entries: int, mechanism: RepairMechanism,
                btb_fallback: bool) -> _LaneBase:
     if ras_entries < 1:
         raise ConfigError("RAS needs at least one entry")
-    btb = BranchTargetBuffer() if btb_fallback else None
     if mechanism is RepairMechanism.SELF_CHECKPOINT:
-        return _LinkedLane(ras_entries, 4, btb)
+        return _LinkedLane(ras_entries, 4, _fallback_btb(btb_fallback))
     if mechanism is RepairMechanism.VALID_BITS:
-        return _ValidBitsLane(ras_entries, btb)
+        return _ValidBitsLane(ras_entries, _fallback_btb(btb_fallback))
     if mechanism is RepairMechanism.CHAMPSIM:
-        return _ChampSimLane(ras_entries, btb)
+        return _ChampSimLane(ras_entries, _fallback_btb(btb_fallback))
+    # a circular stack always yields a prediction, so its BTB fallback
+    # is unobservable and the lane never builds one
     return _CircularLane(ras_entries)
 
 

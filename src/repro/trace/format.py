@@ -255,14 +255,19 @@ class TraceReader:
             yield ControlFlowEvent(_CLASS_LIST[class_index], pc, next_pc, gap)
 
     def _iter_v2(self) -> Iterator[ControlFlowEvent]:
+        # the per-event loop is the streaming replay's decode cost, so
+        # its globals are bound to locals once per trace
+        classes = _CLASS_LIST
+        class_count = len(classes)
+        event_type = ControlFlowEvent
+        iter_unpack = _EVENT2.iter_unpack
         for raw, _count in self._iter_v2_blocks():
-            for class_index, pc, next_pc, gap in _EVENT2.iter_unpack(raw):
-                if class_index >= len(_CLASS_LIST):
+            for class_index, pc, next_pc, gap in iter_unpack(raw):
+                if class_index >= class_count:
                     raise TraceFormatError(
                         f"bad control class: found {class_index}, expected "
-                        f"< {len(_CLASS_LIST)}")
-                yield ControlFlowEvent(
-                    _CLASS_LIST[class_index], pc, next_pc, gap)
+                        f"< {class_count}")
+                yield event_type(classes[class_index], pc, next_pc, gap)
 
     def _iter_v2_blocks(self) -> Iterator[Tuple[bytes, int]]:
         """Decode one v2 block at a time: ``(raw event bytes, count)``.

@@ -21,6 +21,7 @@ from repro.core import WorkloadSpec, build_program, trace_depth_sweep
 from repro.core.executor import ExperimentJob, ResultCache, SweepExecutor
 from repro.corpus import CorpusStore, corpus_depth_sweep
 from repro.cli import main as cli_main
+from repro.fastsim import batch as batch_module
 from repro.fastsim.batch import (
     decoder_backend,
     iter_event_batches,
@@ -234,6 +235,28 @@ class TestRandomizedParity:
         assert result.accuracy is None
 
 
+class TestLaneConstruction:
+    @pytest.mark.parametrize("btb_fallback", (True, False))
+    def test_only_lanes_that_can_fall_back_build_a_btb(self, monkeypatch,
+                                                       btb_fallback):
+        built = []
+
+        class CountingBtb(batch_module.BranchTargetBuffer):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(batch_module, "BranchTargetBuffer", CountingBtb)
+        with_btb = {RepairMechanism.VALID_BITS,
+                    RepairMechanism.SELF_CHECKPOINT,
+                    RepairMechanism.CHAMPSIM}
+        for mechanism in MECHANISMS:
+            del built[:]
+            batch_module._make_lane(8, mechanism, btb_fallback)
+            expected = 1 if btb_fallback and mechanism in with_btb else 0
+            assert len(built) == expected, mechanism
+
+
 class TestShardParity:
     """Batch == reference == executor on real shards."""
 
@@ -330,6 +353,32 @@ class TestExecutorBatchEngine:
         assert second == first
         assert warm.cache_hits == len(self.SIZES)
         assert warm.cache_misses == 0
+
+    @pytest.fixture(scope="class")
+    def generated_shards(self, tmp_path_factory):
+        store = CorpusStore.create(tmp_path_factory.mktemp("corpus"))
+        store.build_from_specs([WorkloadSpec("li", 1, 0.05),
+                                WorkloadSpec("vortex", 1, 0.05)])
+        return store.specs()
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS,
+                             ids=lambda mechanism: mechanism.value)
+    def test_sweep_engines_agree_for_every_mechanism(self, generated_shards,
+                                                     mechanism):
+        executor = SweepExecutor(jobs=1, cache=None)
+        via_trace = trace_depth_sweep(generated_shards, self.SIZES,
+                                      mechanism=mechanism,
+                                      executor=executor, engine="trace")
+        via_batch = trace_depth_sweep(generated_shards, self.SIZES,
+                                      mechanism=mechanism,
+                                      executor=executor, engine="batch")
+        assert sorted(via_trace) == sorted(via_batch)
+        assert len(via_trace) == 2
+        for name, by_size in via_trace.items():
+            for size in self.SIZES:
+                assert by_size[size].counter("returns") > 0
+                assert via_batch[name][size].counters == \
+                    by_size[size].counters, (name, size)
 
     def test_unknown_engine_still_rejected(self):
         from repro.config.defaults import baseline_config

@@ -23,7 +23,7 @@ from repro.corpus import (
     diff_events,
     diff_shard,
 )
-from repro.corpus.diffcheck import CORRUPT_ENV, DIFF_SCHEMA
+from repro.corpus.diffcheck import CONTEXT_EVENTS, CORRUPT_ENV, DIFF_SCHEMA
 from repro.isa.opcodes import ControlClass
 from repro.trace.format import ControlFlowEvent
 
@@ -72,6 +72,58 @@ class TestDiffEvents:
         assert [e["event"] for e in first["context"]] == [0, 1, 2]
         with pytest.raises(DivergenceError):
             report.ensure()
+
+    def test_context_ring_after_it_fills(self):
+        """A divergence past ``CONTEXT_EVENTS`` events reports exactly
+        the last ``CONTEXT_EVENTS`` events before it, inert classes
+        included."""
+        events = [
+            ControlFlowEvent(ControlClass.COND_BRANCH, 10, 20),
+            ControlFlowEvent(ControlClass.CALL_DIRECT, 100, 200),
+            ControlFlowEvent(ControlClass.JUMP_DIRECT, 204, 220),
+            ControlFlowEvent(ControlClass.RETURN, 240, 105),
+            ControlFlowEvent(ControlClass.NOT_CONTROL, 108, 112),
+            ControlFlowEvent(ControlClass.COND_BRANCH, 112, 116),
+            ControlFlowEvent(ControlClass.JUMP_INDIRECT, 116, 300),
+            ControlFlowEvent(ControlClass.CALL_INDIRECT, 300, 400),
+            ControlFlowEvent(ControlClass.RETURN, 420, 304),
+            ControlFlowEvent(ControlClass.COND_BRANCH, 304, 308),
+            ControlFlowEvent(ControlClass.JUMP_DIRECT, 308, 96),
+            ControlFlowEvent(ControlClass.CALL_DIRECT, 100, 200),
+            ControlFlowEvent(ControlClass.COND_BRANCH, 200, 204),
+            ControlFlowEvent(ControlClass.RETURN, 240, 105),
+        ]
+        assert len(events) > CONTEXT_EVENTS + 1
+        report = diff_events(events, mechanism=RepairMechanism.NONE)
+        assert report.events == 14
+        assert report.returns == 3
+        assert report.divergences == 1
+        assert report.first_divergence == {
+            "event": 13,
+            "pc": 240,
+            "next_pc": 105,
+            "ours": 104,
+            "reference": 105,
+            "ours_hit": False,
+            "reference_hit": True,
+            "context": [
+                {"event": 5, "class": "cond-branch", "pc": 112,
+                 "next_pc": 116},
+                {"event": 6, "class": "jump-indirect", "pc": 116,
+                 "next_pc": 300},
+                {"event": 7, "class": "call-indirect", "pc": 300,
+                 "next_pc": 400},
+                {"event": 8, "class": "return", "pc": 420, "next_pc": 304},
+                {"event": 9, "class": "cond-branch", "pc": 304,
+                 "next_pc": 308},
+                {"event": 10, "class": "jump-direct", "pc": 308,
+                 "next_pc": 96},
+                {"event": 11, "class": "call-direct", "pc": 100,
+                 "next_pc": 200},
+                {"event": 12, "class": "cond-branch", "pc": 200,
+                 "next_pc": 204},
+            ],
+        }
 
     def test_sample_shard_has_zero_divergences(self, tmp_path):
         """The acceptance bar: the checked-in trace replays clean."""

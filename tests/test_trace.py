@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import pickle
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.trace import (
     record_trace,
 )
 from repro.trace.format import TraceFormatError
+from repro.trace.replay import _Lane
 from repro.workloads import BENCHMARK_NAMES, build_workload
 from repro.workloads.kernels import fibonacci_kernel, loop_sum_kernel
 
@@ -234,3 +236,59 @@ class TestTraceRasEvaluator:
         result = evaluator.evaluate(
             ras_entries=64, mechanism=RepairMechanism.SELF_CHECKPOINT)
         assert result.accuracy > 0.99
+
+
+_INERT_CLASSES = (ControlClass.NOT_CONTROL, ControlClass.COND_BRANCH,
+                  ControlClass.JUMP_DIRECT, ControlClass.JUMP_INDIRECT)
+
+
+class TestLaneStepIsTotal:
+    """The replay loops drop inert events before the lane, which is
+    only sound while ``_Lane.step`` itself treats them as no-ops."""
+
+    @staticmethod
+    def _primed_lane(mechanism, btb_fallback):
+        # five calls into a four-entry stack, then six returns: the
+        # lane has pushed past its size, hit, missed and run dry
+        lane = _Lane(4, mechanism, btb_fallback)
+        for pc in range(0x100, 0x600, 0x100):
+            lane.step(ControlFlowEvent(ControlClass.CALL_INDIRECT, pc,
+                                       pc + 0x1000))
+        for pc in range(0x500, 0x0, -0x100):
+            lane.step(ControlFlowEvent(ControlClass.RETURN, pc + 0x1800,
+                                       pc + 4))
+        lane.step(ControlFlowEvent(ControlClass.RETURN, 0x9000, 0x9100))
+        lane.step(ControlFlowEvent(ControlClass.CALL_DIRECT, 0x700, 0x2000))
+        return lane
+
+    @staticmethod
+    def _state(lane):
+        def stats(group):
+            return {name: group[name].value for name in group.names()}
+
+        btb = None if lane.btb is None else (
+            stats(lane.btb.stats), pickle.dumps(lane.btb))
+        return (lane.returns, lane.hits, stats(lane.ras.stats),
+                pickle.dumps(lane.ras), btb)
+
+    @pytest.mark.parametrize("control", _INERT_CLASSES,
+                             ids=lambda control: control.value)
+    @pytest.mark.parametrize("btb_fallback", (True, False),
+                             ids=("btb", "no-btb"))
+    @pytest.mark.parametrize("mechanism", list(RepairMechanism),
+                             ids=lambda mechanism: mechanism.value)
+    def test_inert_event_is_a_no_op(self, mechanism, btb_fallback,
+                                    control):
+        lane = self._primed_lane(mechanism, btb_fallback)
+        before = self._state(lane)
+        assert before[0] == 6 and before[2]["pushes"] == 6
+        assert lane.step(ControlFlowEvent(control, 0x800, 0x3000)) is None
+        assert self._state(lane) == before
+
+    @pytest.mark.parametrize("mechanism", list(RepairMechanism),
+                             ids=lambda mechanism: mechanism.value)
+    def test_both_call_classes_push(self, mechanism):
+        for call in (ControlClass.CALL_DIRECT, ControlClass.CALL_INDIRECT):
+            lane = _Lane(4, mechanism, btb_fallback=False)
+            assert lane.step(ControlFlowEvent(call, 0x100, 0x2000)) is None
+            assert lane.ras.stats["pushes"].value == 1
